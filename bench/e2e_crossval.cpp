@@ -16,12 +16,13 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "emerge/e2e_runner.hpp"
 #include "emerge/experiment/table.hpp"
+#include "workload/crossval.hpp"
 
 namespace {
 
 using namespace emergence::core;
+using namespace emergence::workload;
 
 std::size_t parse_population(int argc, char** argv) {
   std::size_t population = 100;
@@ -45,7 +46,6 @@ int main(int argc, char** argv) {
   const std::size_t stat_runs = std::max<std::size_t>(2000, 20 * runs);
 
   SweepRunner sweeps = emergence::bench::make_runner(argc, argv);
-  E2eRunner runner(sweeps);
 
   std::cout << "# == e2e cross-validation: full stack vs stat engine ==\n"
             << "# setup: " << runs << " full-stack worlds vs " << stat_runs
@@ -59,9 +59,9 @@ int main(int argc, char** argv) {
 
   std::size_t failures = 0;
   std::size_t comparisons = 0;
-  for (const E2eScenario& scenario :
+  for (const ScenarioSpec& scenario :
        default_crossval_matrix(runs, population)) {
-    const CrossValResult result = runner.cross_validate(scenario, stat_runs);
+    const CrossValResult result = cross_validate(sweeps, scenario, stat_runs);
 
     FigureTable table(scenario.name,
                       {"metric", "full_stack", "stat_engine", "diff", "bound",
@@ -79,8 +79,7 @@ int main(int argc, char** argv) {
                 << " bound=" << m.bound << (m.pass ? "" : "  << DIVERGENT")
                 << "\n";
     }
-    const double th = scenario.emerging_time /
-                      static_cast<double>(scenario.session_shape().l);
+    const double th = scenario.holding_period();
     const emergence::dht::TransportStats& net = result.full_stack.transport;
     caption += "; holders_stuck=" +
                std::to_string(result.full_stack.holders_stuck) +

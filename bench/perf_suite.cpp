@@ -32,9 +32,10 @@
 #include "dht/chord_network.hpp"
 #include "dht/churn_driver.hpp"
 #include "dht/kademlia.hpp"
-#include "emerge/e2e_runner.hpp"
 #include "emerge/experiment/table.hpp"
 #include "emerge/protocol.hpp"
+#include "emerge/session_dispatcher.hpp"
+#include "emerge/types.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -133,6 +134,7 @@ PerfResult run_scenario(const PerfScenario& s) {
   // -- phase 4: live phase (maintenance + churn + sessions through tr) ---------
   const emergence::bench::WallTimer t_live;
   cloud::CloudStore cloud;
+  core::SessionDispatcher dispatcher(*net);
   std::vector<std::unique_ptr<core::TimedReleaseSession>> sessions;
   core::SessionConfig config;
   config.kind = core::SchemeKind::kJoint;
@@ -140,7 +142,8 @@ PerfResult run_scenario(const PerfScenario& s) {
   config.emerging_time = s.horizon;
   for (std::size_t i = 0; i < s.sessions; ++i) {
     sessions.push_back(std::make_unique<core::TimedReleaseSession>(
-        *net, cloud, nullptr, config, 0xF00D + i));
+        core::SessionArgs{net, &cloud, nullptr, config, 0xF00D + i,
+                          &dispatcher}));
     sessions[i]->send(bytes_of("perf-suite-payload"),
                       "receiver-" + std::to_string(i));
   }

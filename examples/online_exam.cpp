@@ -18,6 +18,7 @@
 #include "dht/chord_network.hpp"
 #include "emerge/planner.hpp"
 #include "emerge/protocol.hpp"
+#include "emerge/session_dispatcher.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -55,7 +56,9 @@ ExamRun run_exam(core::PathShape shape, double malicious_fraction,
   config.shape = shape;
   config.emerging_time = 7200.0;  // exam starts in two hours
 
-  core::TimedReleaseSession session(network, cloud, &adversary, config, seed);
+  core::SessionDispatcher dispatcher(network);
+  core::TimedReleaseSession session(core::SessionArgs{
+      &network, &cloud, &adversary, config, seed, &dispatcher});
   session.send(bytes_of("Q1: Prove Lemma 1 of Li & Palanisamy (ICDCS'17)."),
                "proctor-token");
   session.refresh_adversary_exposure();

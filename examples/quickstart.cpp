@@ -15,6 +15,7 @@
 #include "cloud/cloud_store.hpp"
 #include "dht/chord_network.hpp"
 #include "emerge/protocol.hpp"
+#include "emerge/session_dispatcher.hpp"
 #include "sim/simulator.hpp"
 
 int main() {
@@ -37,8 +38,10 @@ int main() {
   config.shape = core::PathShape{2, 3};
   config.emerging_time = 3600.0;
 
-  core::TimedReleaseSession session(network, cloud, /*adversary=*/nullptr,
-                                    config, /*seed=*/42);
+  core::SessionDispatcher dispatcher(network);  // routes packages by nonce
+  core::TimedReleaseSession session(
+      core::SessionArgs{&network, &cloud, /*adversary=*/nullptr, config,
+                        /*seed=*/42, &dispatcher});
   const std::string message =
       "Dear Bob -- this message was sealed at ts and could not be read "
       "before tr. -- Alice";

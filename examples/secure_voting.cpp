@@ -16,6 +16,7 @@
 #include "cloud/cloud_store.hpp"
 #include "dht/chord_network.hpp"
 #include "emerge/protocol.hpp"
+#include "emerge/session_dispatcher.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -45,7 +46,9 @@ bool run_election(core::SchemeKind kind, double malicious_fraction,
     if (coalition_rng.chance(malicious_fraction)) adversary.mark_malicious(id);
   }
 
-  core::TimedReleaseSession session(network, cloud, &adversary, config, seed);
+  core::SessionDispatcher dispatcher(network);
+  core::TimedReleaseSession session(core::SessionArgs{
+      &network, &cloud, &adversary, config, seed, &dispatcher});
 
   // The "ballot box": votes encrypted under the self-emerging key.
   const std::string ballots = "alice:A;bob:B;carol:A;dave:A;erin:B";

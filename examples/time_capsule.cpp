@@ -19,6 +19,7 @@
 #include "dht/chord_network.hpp"
 #include "dht/churn_driver.hpp"
 #include "emerge/protocol.hpp"
+#include "emerge/session_dispatcher.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -65,8 +66,10 @@ CapsuleOutcome bury_capsules(core::SchemeKind kind, int trials) {
       config.shape = core::PathShape{3, 5};
     }
 
-    core::TimedReleaseSession session(network, cloud, nullptr, config,
-                                      static_cast<std::uint64_t>(trial));
+    core::SessionDispatcher dispatcher(network);
+    core::TimedReleaseSession session(core::SessionArgs{
+        &network, &cloud, nullptr, config,
+        static_cast<std::uint64_t>(trial), &dispatcher});
     session.send(bytes_of("to be opened in five months"), "heir-token");
     churn.start();
     simulator.run_until(session.release_time() + 10.0);

@@ -191,7 +191,9 @@ SessionHandle SessionHandle::Builder::build() {
 
 LocalClient::LocalClient(dht::Network& network, cloud::CloudStore& cloud,
                          core::SessionDispatcher* dispatcher)
-    : network_(network), cloud_(cloud), dispatcher_(dispatcher) {}
+    : network_(network), cloud_(cloud), dispatcher_(dispatcher) {
+  require(dispatcher != nullptr, "LocalClient: null dispatcher");
+}
 
 SubmitReceipt LocalClient::submit(const SubmitRequest& request) {
   SessionHandle handle = SessionHandle::Builder()

@@ -15,9 +15,7 @@
 // Client — tests, benches, the submit tool — runs unchanged on either.
 //
 // SessionHandle is the construction surface for the in-process engine: a
-// named-field Builder over core::SessionArgs that replaces the positional
-// TimedReleaseSession constructor sprawl at new call sites (the positional
-// constructor survives as a thin delegating overload for old ones).
+// named-field Builder over core::SessionArgs.
 #pragma once
 
 #include <map>
@@ -115,8 +113,8 @@ class SessionHandle {
     Builder& backend(crypto::CipherBackend backend);
     Builder& seed(std::uint64_t seed);
 
-    /// Constructs the session; throws PreconditionError if network/cloud
-    /// were never set or the configuration is invalid.
+    /// Constructs the session; throws PreconditionError if network, cloud
+    /// or dispatcher were never set or the configuration is invalid.
     SessionHandle build();
 
    private:
@@ -143,10 +141,10 @@ class SessionHandle {
 /// EmergeEvent once the session's terminal holders have delivered.
 class LocalClient final : public Client {
  public:
-  /// `dispatcher` is optional exactly as on the session (null chains the
-  /// network's default handler). All referents must outlive the client.
+  /// `dispatcher` is required (PreconditionError on null), exactly as on
+  /// the session. All referents must outlive the client.
   LocalClient(dht::Network& network, cloud::CloudStore& cloud,
-              core::SessionDispatcher* dispatcher = nullptr);
+              core::SessionDispatcher* dispatcher);
 
   SubmitReceipt submit(const SubmitRequest& request) override;
   std::optional<EmergeEvent> poll(std::uint64_t session_nonce) override;

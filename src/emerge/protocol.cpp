@@ -58,6 +58,7 @@ namespace {
 const SessionArgs& checked_args(const SessionArgs& args) {
   require(args.network != nullptr, "TimedReleaseSession: null network");
   require(args.cloud != nullptr, "TimedReleaseSession: null cloud store");
+  require(args.dispatcher != nullptr, "TimedReleaseSession: null dispatcher");
   return args;
 }
 
@@ -68,8 +69,10 @@ TimedReleaseSession::TimedReleaseSession(const SessionArgs& raw_args)
       cloud_(*raw_args.cloud),
       adversary_(raw_args.adversary),
       config_(raw_args.config),
-      dispatcher_(raw_args.dispatcher),
+      dispatcher_(*raw_args.dispatcher),
       drbg_(raw_args.seed) {
+  require(&dispatcher_.network_ == &network_,
+          "TimedReleaseSession: dispatcher serves another network");
   require(config_.shape.k >= 1 && config_.shape.l >= 1,
           "TimedReleaseSession: degenerate path shape");
   if (config_.kind == SchemeKind::kShare) {
@@ -84,24 +87,15 @@ TimedReleaseSession::TimedReleaseSession(const SessionArgs& raw_args)
           "TimedReleaseSession: holding period too short for the network");
 }
 
-TimedReleaseSession::TimedReleaseSession(dht::Network& network,
-                                         cloud::CloudStore& cloud,
-                                         Adversary* adversary,
-                                         SessionConfig config,
-                                         std::uint64_t seed,
-                                         SessionDispatcher* dispatcher)
-    : TimedReleaseSession(SessionArgs{&network, &cloud, adversary, config,
-                                      seed, dispatcher}) {}
-
 TimedReleaseSession::~TimedReleaseSession() {
   // Deregister without network cleanup: a world being torn down wholesale
   // does not need erase traffic, only the dispatcher's pointers must go.
-  if (dispatcher_ == nullptr || retired_) return;
+  if (retired_) return;
   for (const auto& [storage_key, layer_id] : storage_key_to_layer_) {
     (void)layer_id;
-    dispatcher_->deregister_storage_key(storage_key);
+    dispatcher_.deregister_storage_key(storage_key);
   }
-  if (sent_) dispatcher_->deregister_session(session_nonce_);
+  if (sent_) dispatcher_.deregister_session(session_nonce_);
 }
 
 void TimedReleaseSession::retire() {
@@ -110,9 +104,9 @@ void TimedReleaseSession::retire() {
   for (const auto& [storage_key, layer_id] : storage_key_to_layer_) {
     (void)layer_id;
     network_.erase(storage_key);
-    if (dispatcher_ != nullptr) dispatcher_->deregister_storage_key(storage_key);
+    dispatcher_.deregister_storage_key(storage_key);
   }
-  if (dispatcher_ != nullptr) dispatcher_->deregister_session(session_nonce_);
+  dispatcher_.deregister_session(session_nonce_);
 }
 
 LayerKeyId TimedReleaseSession::key_id_for(std::uint16_t column,
@@ -143,8 +137,7 @@ cloud::BlobId TimedReleaseSession::send(BytesView message,
   sent_ = true;
   start_time_ = network_.simulator().now();
   session_nonce_ = drbg_.u64();
-  if (dispatcher_ != nullptr)
-    dispatcher_->register_session(session_nonce_, this);
+  dispatcher_.register_session(session_nonce_, this);
 
   // 1. Encrypt the message and hand the ciphertext to the cloud.
   secret_key_ = drbg_.bytes(32);
@@ -230,8 +223,7 @@ cloud::BlobId TimedReleaseSession::send(BytesView message,
   }
   const Bytes onion = build_onion(specs, drbg_, config_.backend);
 
-  // 5. Register handlers, pre-assign keys, launch the first column.
-  register_holder_handlers();
+  // 5. Pre-assign keys, launch the first column.
   assign_keys_at_start();
 
   for (std::size_t h = 0; h < layout_.holders_in_column(1); ++h) {
@@ -253,20 +245,8 @@ void TimedReleaseSession::assign_keys_at_start() {
       config_.kind == SchemeKind::kShare ? 1 : config_.shape.l;
 
   // Replica repairs of stored layer keys must also count as exposure
-  // (paper §III-D: the replacement node learns the key). With a dispatcher
-  // the per-key registration below routes those observations here in O(1);
-  // without one, chain the network-wide store observer (historical path —
-  // bounded session counts only).
-  if (dispatcher_ == nullptr) {
-    dht::StoreObserver previous = network_.store_observer();
-    network_.set_store_observer(
-        [this, previous](const dht::NodeId& node, const dht::NodeId& key,
-                         BytesView value) {
-          if (previous) previous(node, key, value);
-          observe_store(node, key, value);
-        });
-  }
-
+  // (paper §III-D: the replacement node learns the key): the per-key
+  // dispatcher registration below routes those observations here.
   for (std::size_t c = 1; c <= last_preassigned_column; ++c) {
     const std::size_t holders = layout_.holders_in_column(c);
     for (std::size_t h = 0; h < holders; ++h) {
@@ -288,8 +268,7 @@ void TimedReleaseSession::assign_keys_at_start() {
       // same 160-bit point.
       const dht::NodeId storage_key = layout_.ring_points[c - 1][h];
       storage_key_to_layer_[storage_key] = id;
-      if (dispatcher_ != nullptr)
-        dispatcher_->register_storage_key(storage_key, this);
+      dispatcher_.register_storage_key(storage_key, this);
 
       if (!network_.store_on(holder, storage_key, layer_key(id).to_bytes()))
         continue;  // holder died before assignment
@@ -322,42 +301,6 @@ void TimedReleaseSession::observe_store(const dht::NodeId& node,
     adversary_->observe_key(it->second, crypto::SymmetricKey::from_bytes(value),
                             network_.simulator().now());
   }
-}
-
-void TimedReleaseSession::register_holder_handlers() {
-  // Packages are addressed to ring positions, so the receiving node may be
-  // any current ring member (including churn replacements); a network-wide
-  // default handler dispatches them to this session. Multiple sessions
-  // coexist on one network: packages carry a session nonce, and packages
-  // for other sessions chain to the previously registered handler. A
-  // dispatcher replaces the chain entirely — it already owns the default
-  // handler and routes by nonce.
-  if (dispatcher_ != nullptr) return;
-  chained_handler_ = network_.default_message_handler();
-  dht::MessageHandler previous = chained_handler_;
-  network_.set_default_message_handler(
-      [this, previous](const dht::NodeId& from, const dht::NodeId& to,
-                       BytesView payload) {
-        // The network is open: any node can address bytes at a holder.
-        // Malformed packages are dropped and counted, never fatal.
-        ProtocolPackage pkg;
-        try {
-          pkg = decode_protocol_package(payload);
-        } catch (const Error&) {
-          if (previous) {
-            previous(from, to, payload);
-            return;
-          }
-          ++report_.malformed_packages;
-          return;
-        }
-        if (pkg.session_nonce != session_nonce_) {
-          if (previous) previous(from, to, payload);
-          return;
-        }
-        on_package(to, pkg.column, pkg.holder_index, pkg.onion,
-                   std::move(pkg.shares));
-      });
 }
 
 void TimedReleaseSession::on_package(const dht::NodeId& node,

@@ -11,8 +11,9 @@
 //     |                               | tr: terminal holders ------> | secret
 //     |                               |                              | decrypt
 //
-// Holder behavior runs as message handlers + simulator events; malicious
-// holders report to the Adversary and, in dropping mode, break the chain.
+// Holder behavior runs as SessionDispatcher-routed messages + simulator
+// events; malicious holders report to the Adversary and, in dropping mode,
+// break the chain.
 // The session instance must outlive the simulation run that drives it
 // (see docs/architecture.md, "Ownership rule"). Protocol phases: PAPER.md
 // §III; scheme taxonomy: PAPER.md §III-A..D.
@@ -72,49 +73,37 @@ struct SessionReport {
   std::uint64_t packages_sent = 0;
   std::uint64_t packages_delivered = 0;
   std::uint64_t packages_dropped_malicious = 0;
-  std::uint64_t malformed_packages = 0;  ///< undecodable payloads discarded
+  /// Packages carrying this session's nonce that failed to decode (payloads
+  /// with no nonce at all are the dispatcher's malformed_packages()).
+  std::uint64_t malformed_packages = 0;
   std::uint64_t holders_stuck = 0;  ///< could not reconstruct a layer key
   std::uint64_t key_assignments = 0;
   std::uint64_t deliveries = 0;  ///< terminal deliveries to the receiver
 };
 
-/// Everything a TimedReleaseSession needs, as one named-field aggregate.
-/// The api::SessionHandle builder fills one of these; the historical
-/// positional constructor packs its arguments into one and delegates, so
-/// both construction surfaces share a single initialization path.
+/// Everything a TimedReleaseSession needs, as one named-field aggregate
+/// (the api::SessionHandle builder fills one of these too).
 struct SessionArgs {
   dht::Network* network = nullptr;      ///< required
   cloud::CloudStore* cloud = nullptr;   ///< required
   Adversary* adversary = nullptr;       ///< nullptr = no attack
   SessionConfig config;
   std::uint64_t seed = 0;
-  SessionDispatcher* dispatcher = nullptr;  ///< see ctor docs below
+  /// Required: routes the network's packages and store observations to
+  /// the session by nonce / storage key (session_dispatcher.hpp). It must
+  /// be built on `network` and outlive the session.
+  SessionDispatcher* dispatcher = nullptr;
 };
 
 /// One self-emerging message through the DHT.
 class TimedReleaseSession {
  public:
-  /// Primary constructor. `args.network` and `args.cloud` are required
+  /// `args.network`, `args.cloud` and `args.dispatcher` are required
   /// (PreconditionError otherwise); everything else has usable defaults.
+  /// The session schedules simulator events that capture `this`, so it
+  /// must outlive every event it scheduled (docs/architecture.md,
+  /// "Ownership rule").
   explicit TimedReleaseSession(const SessionArgs& args);
-
-  /// `adversary` may be nullptr (no attack). The session registers message
-  /// handlers on holder nodes; it must outlive the simulation.
-  ///
-  /// `dispatcher` selects how network events reach the session. Null (the
-  /// historical behavior) chains the network's default handler and store
-  /// observer — fine for a bounded number of sessions per world. A
-  /// dispatcher routes by nonce / storage key in O(1) and supports
-  /// retire() + destruction of finished sessions, which is what lets a
-  /// fleet recycle session slots against one long-lived world
-  /// (session_dispatcher.hpp). The dispatcher must outlive the session.
-  ///
-  /// Delegates to the SessionArgs constructor; kept because positional
-  /// call sites predate the aggregate and remain perfectly readable.
-  TimedReleaseSession(dht::Network& network, cloud::CloudStore& cloud,
-                      Adversary* adversary, SessionConfig config,
-                      std::uint64_t seed,
-                      SessionDispatcher* dispatcher = nullptr);
   ~TimedReleaseSession();
 
   TimedReleaseSession(const TimedReleaseSession&) = delete;
@@ -202,8 +191,6 @@ class TimedReleaseSession {
   crypto::SymmetricKey layer_key(const LayerKeyId& id) const;
 
   void assign_keys_at_start();
-  void launch_column1_packages();
-  void register_holder_handlers();
   /// Dispatcher entry points: a package addressed to this session's nonce,
   /// and a store observation for one of its registered storage keys.
   void handle_package_message(const dht::NodeId& to, BytesView payload);
@@ -221,7 +208,7 @@ class TimedReleaseSession {
   cloud::CloudStore& cloud_;
   Adversary* adversary_;
   SessionConfig config_;
-  SessionDispatcher* dispatcher_;
+  SessionDispatcher& dispatcher_;
   bool retired_ = false;
   crypto::Drbg drbg_;
 
@@ -235,9 +222,6 @@ class TimedReleaseSession {
 
   Bytes secret_key_;  ///< the message key routed through the DHT
   std::uint64_t session_nonce_ = 0;  ///< distinguishes concurrent sessions
-  /// The default handler registered before this session took over; foreign
-  /// or undecodable packages chain to it.
-  dht::MessageHandler chained_handler_;
   cloud::BlobId blob_id_;
   double start_time_ = 0.0;
   bool sent_ = false;

@@ -22,6 +22,10 @@ std::string to_string(SchemeKind kind) {
   return "unknown";
 }
 
+std::string to_string(DhtBackend backend) {
+  return backend == DhtBackend::kChord ? "chord" : "kademlia";
+}
+
 double multipath_release_resilience(double p, const PathShape& shape) {
   // Rr = 1 - (1-(1-p)^k)^l : the adversary must hold >=1 malicious holder in
   // every one of the l columns to collect all layer keys at ts. With

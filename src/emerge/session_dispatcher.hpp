@@ -1,21 +1,15 @@
 // Flat O(1) routing of network events to concurrent sessions.
 //
-// Without a dispatcher every TimedReleaseSession chains the network's
-// default message handler and store observer, capturing the previous
-// closure: fine for the handful of concurrent sessions the e2e harness
-// runs, fatal for a service fleet — the chains grow one link per session
-// ever created, every delivery walks the whole chain, and destroying a
-// finished session would leave later links capturing a dangling pointer.
-//
 // The dispatcher installs ONE default handler and ONE store observer on
-// the network and routes by lookup instead: packages by the session nonce
-// they already carry (a 64-bit drbg draw, unique per session), store
-// observations by the storage key the session registered for its
-// pre-assigned layer keys. Sessions constructed with a dispatcher register
-// themselves during send() and deregister on retire()/destruction, so the
-// fleet can recycle hundreds of thousands of session slots against one
-// world at O(1) per event. Handlers and observers installed before the
-// dispatcher keep working: unrecognized traffic chains to them.
+// the network and routes by lookup: packages by the session nonce they
+// carry (a 64-bit drbg draw, unique per session), store observations by
+// the storage key the session registered for its pre-assigned layer keys.
+// Every TimedReleaseSession is constructed with a dispatcher; it registers
+// during send() and deregisters on retire()/destruction, so a fleet can
+// recycle hundreds of thousands of session slots against one world at
+// O(1) per event. The network is open — any node can address bytes at a
+// holder — so traffic no live session claims is dropped and counted here,
+// never fatal.
 //
 // The dispatcher must outlive both the network's event traffic and every
 // session registered with it (the fleet owns all three; see
@@ -54,6 +48,12 @@ class SessionDispatcher {
   std::uint64_t stray_packages() const {
     return stray_packages_.load(std::memory_order_relaxed);
   }
+  /// Payloads that are not protocol packages at all (no session nonce to
+  /// route by). Packages that carry a live nonce but fail to decode are
+  /// counted by their session instead (SessionReport::malformed_packages).
+  std::uint64_t malformed_packages() const {
+    return malformed_packages_.load(std::memory_order_relaxed);
+  }
 
  private:
   friend class TimedReleaseSession;
@@ -68,9 +68,11 @@ class SessionDispatcher {
   std::unordered_map<std::uint64_t, TimedReleaseSession*> by_nonce_;
   std::unordered_map<dht::NodeId, TimedReleaseSession*, dht::NodeIdHash>
       by_storage_key_;
-  /// Atomic: stray deliveries fire inside parallel executor windows (the
-  /// routing maps themselves only mutate at serial barriers — send/retire).
+  /// Atomic: stray and malformed deliveries fire inside parallel executor
+  /// windows (the routing maps themselves only mutate at serial barriers —
+  /// send/retire).
   std::atomic<std::uint64_t> stray_packages_{0};
+  std::atomic<std::uint64_t> malformed_packages_{0};
 };
 
 }  // namespace emergence::core

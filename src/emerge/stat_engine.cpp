@@ -216,7 +216,7 @@ StatRunOutcome run_share_stat(const SharePlan& plan,
   // terminal column).
   //
   // Release semantics (cross-validated against the full protocol stack by
-  // emerge/e2e_runner.*): reconstructing the keys of *one* column
+  // workload/crossval.*): reconstructing the keys of *one* column
   // compromises every later column. Each column-c envelope carries that
   // holder's share of every column-(c+1) key, so m malicious carriers in a
   // column the packages reached open their own envelopes, combine m shares

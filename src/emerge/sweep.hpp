@@ -119,7 +119,7 @@ class SweepRunner {
   /// count. The first exception a shard throws abandons the remaining
   /// shards and is rethrown here once every participant has stopped.
   /// Serializes with other evaluations on this runner. Reused by the
-  /// end-to-end runner (e2e_runner.hpp) so full-stack protocol sweeps
+  /// workload fleets (session_fleet.hpp) so full-stack protocol sweeps
   /// inherit the same determinism guarantees as the stat-engine sweeps.
   void run_shards(std::size_t shard_count,
                   const std::function<void(std::size_t shard)>& shard_fn);

@@ -17,6 +17,12 @@ enum class SchemeKind : std::uint8_t {
 
 std::string to_string(SchemeKind kind);
 
+/// DHT substrate for a world (the role Overlay Weaver's pluggable
+/// algorithms played for the paper).
+enum class DhtBackend : std::uint8_t { kChord, kKademlia };
+
+std::string to_string(DhtBackend backend);
+
 /// Geometry of a multipath scheme: k replicated paths, l holders per path.
 /// The holding period is th = T / l.
 struct PathShape {

@@ -388,25 +388,4 @@ ScenarioSpec parse_scenario(const std::string& text) {
   return spec;
 }
 
-core::E2eScenario to_e2e_scenario(const ScenarioSpec& spec, std::size_t runs) {
-  core::E2eScenario e2e;
-  e2e.name = spec.name;
-  e2e.kind = spec.scheme;
-  e2e.backend = spec.backend;
-  e2e.shape = spec.shape;
-  e2e.carriers_n = spec.carriers_n;
-  e2e.threshold_m = spec.threshold_m;
-  e2e.population = spec.population;
-  e2e.p = spec.malicious_p;
-  e2e.attack_mode = spec.attack_mode;
-  e2e.churn = spec.churn;
-  e2e.churn_alpha = spec.churn_alpha;
-  e2e.sessions = 1;
-  e2e.emerging_time = spec.emerging_time;
-  e2e.runs = runs;
-  e2e.seed = spec.seed ^ 0xE2EB41D6Eull;
-  e2e.transport = spec.transport;
-  return e2e;
-}
-
 }  // namespace emergence::workload

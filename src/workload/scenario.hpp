@@ -20,7 +20,8 @@
 #include <vector>
 
 #include "common/options.hpp"
-#include "emerge/e2e_runner.hpp"
+#include "dht/transport.hpp"
+#include "emerge/adversary.hpp"
 #include "emerge/types.hpp"
 #include "workload/arrival.hpp"
 #include "workload/lifetime.hpp"
@@ -89,8 +90,8 @@ struct ScenarioSpec {
   double holding_period() const {
     return emerging_time / static_cast<double>(shape.l);
   }
-  /// Share-scheme defaults, one home (mirrors E2eScenario::resolved_*):
-  /// carriers_n == 0 means k+1, threshold_m == 0 means k.
+  /// Share-scheme defaults, one home: carriers_n == 0 means k+1,
+  /// threshold_m == 0 means k.
   std::size_t resolved_carriers() const {
     if (scheme != core::SchemeKind::kShare) return shape.k;
     return carriers_n != 0 ? carriers_n : shape.k + 1;
@@ -102,9 +103,9 @@ struct ScenarioSpec {
   /// Budget of world `index` (earlier worlds absorb the remainder).
   std::size_t sessions_in_world(std::size_t index) const;
   /// True when the transport keeps the exact-at-tr delivery contract for
-  /// this geometry (mirrors E2eScenario::exact_delivery; 1.0 is the
-  /// SessionConfig assembly_delay every fleet world uses). The timing
-  /// gates in bench/service_load switch from strict equality to the
+  /// this geometry (1.0 is the SessionConfig assembly_delay every fleet
+  /// world uses). The timing gates in bench/service_load and the
+  /// cross-validation matrix switch from strict equality to the
   /// reap_slack lateness bound when this is false.
   bool exact_delivery() const {
     return transport.resolved(0.010, 0.100)
@@ -152,11 +153,5 @@ void add_protocol_options(OptionTable& table, core::SchemeKind& scheme,
 /// bound to `spec` (which must outlive the table). Exposed so help surfaces
 /// (bench drivers, the daemon) render the real key list instead of a copy.
 OptionTable scenario_option_table(ScenarioSpec& spec);
-
-/// Bridges a workload scenario onto the e2e cross-validation runner: same
-/// backend/scheme/geometry/population/adversary point, `runs` independent
-/// single-session worlds. Lets service scenarios reuse the "two engines,
-/// one truth" gates where the stat engine defines the same events.
-core::E2eScenario to_e2e_scenario(const ScenarioSpec& spec, std::size_t runs);
 
 }  // namespace emergence::workload

@@ -13,7 +13,6 @@
 #include "dht/chord_network.hpp"
 #include "dht/churn_driver.hpp"
 #include "dht/kademlia.hpp"
-#include "emerge/e2e_runner.hpp"
 #include "emerge/protocol.hpp"
 #include "emerge/session_dispatcher.hpp"
 #include "obs/trace.hpp"
@@ -96,7 +95,70 @@ std::uint64_t FleetTally::fingerprint() const {
   return fp.value();
 }
 
+double SessionFleet::repair_interval(const ScenarioSpec& spec) {
+  return std::min(240.0, spec.mean_lifetime() / 50.0);
+}
+
+std::size_t SessionFleet::restore_margin_periods(double earliest,
+                                                 double release_time,
+                                                 double holding_period,
+                                                 std::size_t path_length) {
+  // Restores happen at package-arrival instants ts + (c-1)*th plus small
+  // overheads (probe offset, assembly delay, message latency), all well
+  // under th/2 for any valid session, so rounding recovers the period count
+  // exactly.
+  const double periods = (release_time - earliest) / holding_period;
+  const long long rounded = std::llround(periods);
+  if (rounded <= 0) return 0;
+  return std::min<std::size_t>(static_cast<std::size_t>(rounded), path_length);
+}
+
 namespace {
+
+/// One finished session reduced to the stat-engine trial (strict release /
+/// drop / restore margin) plus the timing and latency facts.
+struct SessionOutcome {
+  core::StatRunOutcome stat;
+  bool delivered = false;
+  bool on_time = false;            ///< within kDeliveryToleranceNs of tr
+  std::int64_t abs_offset_ns = 0;  ///< |first_delivery - tr|, delivered only
+  std::int64_t latency_us = 0;     ///< first_delivery - ts, delivered only
+};
+
+/// Reduces a driven-past-tr session (and its adversary, may be null).
+/// Strict release event, matched to the stat engine: the share scheme's
+/// cascade fires from any column (margin >= 2 excludes the pure
+/// terminal-slot leak); the pre-assigned-key schemes need every column,
+/// i.e. a restore essentially at ts (margin == path_length).
+SessionOutcome reduce_session_outcome(const core::TimedReleaseSession& session,
+                                      const core::Adversary* adversary,
+                                      core::SchemeKind kind,
+                                      double holding_period,
+                                      std::size_t path_length) {
+  SessionOutcome out;
+  out.delivered = session.secret_released();
+  out.stat.drop_success = !out.delivered;
+  std::size_t margin = 0;
+  if (adversary != nullptr) {
+    const auto earliest = adversary->earliest_secret_time();
+    if (earliest.has_value()) {
+      margin = SessionFleet::restore_margin_periods(
+          *earliest, session.release_time(), holding_period, path_length);
+    }
+  }
+  out.stat.compromised_suffix = margin;
+  out.stat.release_success =
+      kind == core::SchemeKind::kShare ? margin >= 2 : margin >= path_length;
+  if (out.delivered) {
+    const double first = *session.first_delivery_time();
+    const std::int64_t offset_ns =
+        std::llround((first - session.release_time()) * 1e9);
+    out.abs_offset_ns = offset_ns < 0 ? -offset_ns : offset_ns;
+    out.on_time = out.abs_offset_ns <= SessionFleet::kDeliveryToleranceNs;
+    out.latency_us = std::llround((first - session.start_time()) * 1e6);
+  }
+  return out;
+}
 
 /// Per-session state parked in a stable-address arena slot. A slot is
 /// reused (optional re-emplaced) as soon as its session is reaped; every
@@ -139,17 +201,17 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
   std::unique_ptr<dht::ChordNetwork> chord;
   std::unique_ptr<dht::KademliaNetwork> kademlia;
   dht::Network* net = nullptr;
+  // Maintenance matters only under churn (repair is what hands stored
+  // layer keys to replacement holders); without churn it only adds events.
+  // A service world has population * horizon / interval maintenance
+  // events, and replica repair scans every stored key it holds, so the
+  // cadence is as slow as the churn rate allows (repair_interval).
+  const double repair = repair_interval(s);
   if (s.backend == core::DhtBackend::kChord) {
     dht::NetworkConfig cfg;
     cfg.run_maintenance = s.churn;
-    // Perf-suite cadence, not the e2e harness's: a service world has
-    // population * horizon / interval maintenance events, and replica
-    // repair scans every stored key it holds — at 100k nodes and ~180k
-    // live stored layer keys those two terms dominate the wall clock.
-    // Repair still runs ~5x per mean emerging period, far above the churn
-    // rates any scenario in the registry drives.
-    cfg.stabilize_interval = 60.0;
-    cfg.replica_repair_interval = 240.0;
+    cfg.stabilize_interval = repair / 4.0;
+    cfg.replica_repair_interval = repair;
     // O(log n) joins: a service world sees thousands of churn joins, and
     // periodic fix_fingers converges the copied tables (perf suite model).
     cfg.exact_join_fingers = false;
@@ -160,7 +222,7 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
   } else {
     dht::KademliaConfig cfg;
     cfg.run_maintenance = s.churn;
-    cfg.republish_interval = 240.0;
+    cfg.republish_interval = repair;
     cfg.transport = s.transport;
     kademlia = std::make_unique<dht::KademliaNetwork>(sim, net_rng, cfg);
     kademlia->bootstrap(s.population);
@@ -280,9 +342,7 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
     const core::TimedReleaseSession& session = *slot.session;
     const core::SessionReport& report = session.report();
 
-    // Shared reduction (e2e_runner.hpp): the release rule and delivery
-    // tolerance live there, matched to the stat engine.
-    const core::SessionOutcome outcome = core::reduce_session_outcome(
+    const SessionOutcome outcome = reduce_session_outcome(
         session, slot.adversary.get(), s.scheme, th, shape.l);
     out.tally.add(outcome.stat);
 
@@ -426,11 +486,12 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
       if (adversary != nullptr) {
         // Coalition knowledge grows at package-arrival instants ts +
         // (c-1)*th; one probe shortly after each wave pins the earliest
-        // possession time (same model as the e2e harness). Probes fire
-        // before tr, the reaper after tr + grace, so the adversary pointer
-        // outlives every probe. Under a context the probes are session
-        // events (domain queue) — they read/mutate only this session's
-        // adversary plus the frozen coalition set.
+        // possession time to within probe_offset, far below the th/2 the
+        // margin rounding tolerates. Probes fire before tr, the reaper
+        // after tr + grace, so the adversary pointer outlives every probe.
+        // Under a context the probes are session events (domain queue) —
+        // they read/mutate only this session's adversary plus the frozen
+        // coalition set.
         const double probe_offset = std::min(0.5, th / 4.0);
         for (std::size_t c = 1; c <= shape.l; ++c) {
           sim.schedule_at(
@@ -501,6 +562,7 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
   out.events_executed = sim.executed_events();
   out.horizon = sim.now();
   out.stray_packages = dispatcher.stray_packages();
+  out.malformed_packages += dispatcher.malformed_packages();
   out.transport.merge(net->transport_stats());
   if (exec.has_value()) {
     out.events_executed += exec->domain_events_executed();

@@ -1,16 +1,17 @@
 // Open-loop traffic generation: fleets of TimedReleaseSessions streaming
 // through one long-lived shared world.
 //
-// The e2e harness builds a fresh world per Monte-Carlo run and tears it
-// down after at most 8 concurrent sessions; a *service* carries an open
-// stream of sessions against one substrate. SessionFleet is that service
-// model: an arrival process schedules session setups on the Simulator
-// clock, each session runs the full protocol (paths, onions, holders,
-// delivery at tr) against the shared DHT while the churn driver replays
-// the scenario's lifetime law underneath, and a reaper collects every
-// finished session's outcome into the exact-integer FleetTally before
-// recycling its arena slot — so half a million sessions fit in the memory
-// of the few tens of thousands that are ever concurrently live.
+// SessionFleet is the one world builder of the repository: service loads
+// stream open-ended traffic through it, and the cross-validation matrix
+// (workload/crossval.hpp) runs its Monte-Carlo worlds on it as small
+// fleets of a few sessions each. An arrival process schedules session
+// setups on the Simulator clock, each session runs the full protocol
+// (paths, onions, holders, delivery at tr) against the shared DHT while
+// the churn driver replays the scenario's lifetime law underneath, and a
+// reaper collects every finished session's outcome into the exact-integer
+// FleetTally before recycling its arena slot — so half a million sessions
+// fit in the memory of the few tens of thousands that are ever
+// concurrently live.
 //
 // Determinism contract (docs/architecture.md, "Workloads and scenarios"):
 // a world's tally is a pure function of (spec, world_index). All
@@ -51,9 +52,10 @@ namespace emergence::workload {
 /// merged in ascending index order (the sweep rule).
 struct FleetTally {
   /// One trial per session: release = coalition restored the secret
-  /// strictly early (same event as the e2e harness — share scheme cascades
-  /// from margin >= 2, pre-assigned-key schemes need margin == l); drop =
-  /// no delivery by tr; suffix histogram = restore margins.
+  /// strictly early (the stat engine's event — share scheme cascades from
+  /// margin >= 2, pre-assigned-key schemes need margin == l; see
+  /// SessionFleet::restore_margin_periods); drop = no delivery by tr;
+  /// suffix histogram = restore margins.
   core::RunTally tally;
 
   /// first_delivery - ts quantized to integer microseconds of virtual
@@ -74,6 +76,7 @@ struct FleetTally {
   std::uint64_t packages_sent = 0;
   std::uint64_t packages_delivered = 0;
   std::uint64_t packages_dropped_malicious = 0;
+  /// Plus the payloads the world's dispatcher could not route at all.
   std::uint64_t malformed_packages = 0;
   std::uint64_t holders_stuck = 0;
   std::uint64_t key_assignments = 0;
@@ -128,6 +131,29 @@ class SessionFleet {
   static constexpr double kReapGrace = 2.0;
   /// Every this-many-th delivered session is decrypt-verified end to end.
   static constexpr std::uint64_t kPayloadCheckStride = 997;
+  /// Deliveries further than this from tr count as late. The protocol
+  /// schedules terminal delivery at the absolute time tr, so the observed
+  /// offset is exactly zero; one microsecond absorbs only the ns
+  /// quantization of the tally.
+  static constexpr std::int64_t kDeliveryToleranceNs = 1000;
+
+  /// The maintenance cadence of a churn world, worked out from the spec:
+  /// replica repair (and Kademlia republish) every
+  /// min(240 s, mean_lifetime / 50), Chord stabilize every quarter of
+  /// that. Repair must run much more often than nodes die so the stat
+  /// engine's instant-repair renewal model is a good limit; the cap keeps
+  /// it frequent under heavy-tailed lifetime laws, where many nodes die
+  /// long before the mean.
+  static double repair_interval(const ScenarioSpec& spec);
+
+  /// Maps the coalition's earliest secret-possession time to whole holding
+  /// periods before tr (0 = never; l = essentially at ts). The strict
+  /// release event excludes the unavoidable terminal-slot leak (margin 1);
+  /// the stat engine scores the identical event (design-notes §2).
+  static std::size_t restore_margin_periods(double earliest,
+                                            double release_time,
+                                            double holding_period,
+                                            std::size_t path_length);
 
   /// `spec` must already be validate()d (run_scenario does). `tracer` (may
   /// be null: tracing off) receives the world's lifecycle + hop spans; its

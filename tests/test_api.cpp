@@ -1,6 +1,6 @@
 // The api facade (src/api/api.hpp): SubmitRequest/EmergeEvent codecs, the
-// SessionHandle builder vs the legacy positional constructor, and the
-// LocalClient end-to-end over a simulated world.
+// SessionHandle builder's preconditions, and the LocalClient end-to-end
+// over a simulated world.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "common/serial.hpp"
 #include "dht/chord_network.hpp"
+#include "emerge/session_dispatcher.hpp"
 #include "sim/simulator.hpp"
 
 namespace emergence::api {
@@ -20,12 +21,14 @@ struct World {
   Rng rng{2024};
   dht::NetworkConfig net_config;
   std::unique_ptr<dht::ChordNetwork> net;
+  std::unique_ptr<core::SessionDispatcher> dispatcher;
   cloud::CloudStore cloud;
 
   explicit World(std::size_t nodes = 64) {
     net_config.run_maintenance = false;
     net = std::make_unique<dht::ChordNetwork>(sim, rng, net_config);
     net->bootstrap(nodes);
+    dispatcher = std::make_unique<core::SessionDispatcher>(*net);
   }
 };
 
@@ -97,49 +100,20 @@ TEST(ApiCodec, SubmitRequestResolvesToSessionConfig) {
   EXPECT_EQ(config.emerging_time, request.emerging_time);
 }
 
-// The builder and the legacy positional constructor must produce the same
-// session: same nonce stream, same protocol run, same delivery instant.
-TEST(SessionBuilder, MatchesPositionalConstructorBitForBit) {
-  const Bytes secret = bytes_of("builder-equivalence");
-  core::SessionConfig config;
-  config.kind = core::SchemeKind::kJoint;
-  config.shape = core::PathShape{2, 3};
-  config.emerging_time = 3600.0;
-
-  World positional_world;
-  core::TimedReleaseSession positional(*positional_world.net,
-                                       positional_world.cloud, nullptr,
-                                       config, 7);
-  positional.send(secret, "bob");
-  positional_world.sim.run_until(positional.release_time() + 1.0);
-
-  World builder_world;
-  SessionHandle built = SessionHandle::Builder()
-                            .network(*builder_world.net)
-                            .cloud(builder_world.cloud)
-                            .scheme(core::SchemeKind::kJoint)
-                            .shape(core::PathShape{2, 3})
-                            .emerging_time(3600.0)
-                            .seed(7)
-                            .build();
-  built->send(secret, "bob");
-  builder_world.sim.run_until(built->release_time() + 1.0);
-
-  EXPECT_EQ(built->session_nonce(), positional.session_nonce());
-  EXPECT_EQ(built->release_time(), positional.release_time());
-  ASSERT_TRUE(positional.secret_released());
-  ASSERT_TRUE(built->secret_released());
-  EXPECT_EQ(*built->first_delivery_time(), *positional.first_delivery_time());
-  EXPECT_EQ(*built->receiver_decrypt("bob"), *positional.receiver_decrypt("bob"));
-}
-
 TEST(SessionBuilder, RejectsMissingWorld) {
   EXPECT_THROW(SessionHandle::Builder().build(), PreconditionError);
+  // Network and cloud alone are not enough: the dispatcher is required.
+  World world;
+  EXPECT_THROW(
+      SessionHandle::Builder().network(*world.net).cloud(world.cloud).build(),
+      PreconditionError);
 }
 
 TEST(LocalClient, SubmitPollAndDecryptEndToEnd) {
   World world;
-  LocalClient client(*world.net, world.cloud);
+  EXPECT_THROW(LocalClient(*world.net, world.cloud, nullptr),
+               PreconditionError);
+  LocalClient client(*world.net, world.cloud, world.dispatcher.get());
 
   SubmitRequest request;
   request.message = bytes_of("meet me at the bridge");

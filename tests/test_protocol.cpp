@@ -23,17 +23,27 @@ struct World {
   Rng rng{2024};
   dht::NetworkConfig net_config;
   std::unique_ptr<dht::ChordNetwork> net;
+  std::unique_ptr<SessionDispatcher> dispatcher;
   cloud::CloudStore cloud;
 
   explicit World(std::size_t nodes = 64) {
     net_config.run_maintenance = false;  // deterministic tests
     net = std::make_unique<dht::ChordNetwork>(sim, rng, net_config);
     net->bootstrap(nodes);
+    dispatcher = std::make_unique<SessionDispatcher>(*net);
+  }
+
+  SessionArgs args(Adversary* adversary, const SessionConfig& config,
+                   std::uint64_t seed) {
+    return SessionArgs{net.get(), &cloud, adversary, config, seed,
+                       dispatcher.get()};
   }
 };
 
+// Both configs start from `SessionConfig()`, a value-initialization that
+// zeroes the struct's padding (see kAllSchemes).
 SessionConfig joint_config() {
-  SessionConfig c;
+  SessionConfig c = SessionConfig();
   c.kind = SchemeKind::kJoint;
   c.shape = PathShape{2, 3};
   c.emerging_time = 3600.0;
@@ -49,7 +59,7 @@ SessionConfig disjoint_config() {
 SessionConfig share_config() {
   // The Fig. 5 example: k = 2 onion paths, l = 3 columns, n = 3 carriers
   // per column, m = 2-of-3 shares.
-  SessionConfig c;
+  SessionConfig c = SessionConfig();
   c.kind = SchemeKind::kShare;
   c.shape = PathShape{2, 3};
   c.carriers_n = 3;
@@ -58,11 +68,18 @@ SessionConfig share_config() {
   return c;
 }
 
+// gtest names the value-parameterized tests below after the raw bytes of
+// their SessionConfig, padding included. A static array is zero-initialized
+// before its elements are built, and ValuesIn copies it bytewise, so the
+// names are the same on every run instead of embedding stack garbage.
+const SessionConfig kAllSchemes[] = {joint_config(), disjoint_config(),
+                                     share_config()};
+
 class SchemeEndToEnd : public ::testing::TestWithParam<SessionConfig> {};
 
 TEST_P(SchemeEndToEnd, SecretEmergesExactlyAtReleaseTime) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, GetParam(), 7);
+  TimedReleaseSession session(w.args(nullptr, GetParam(), 7));
   session.send(bytes_of("meet me at the bridge"), "bob-token");
 
   // Not released before tr.
@@ -81,7 +98,7 @@ TEST_P(SchemeEndToEnd, SecretEmergesExactlyAtReleaseTime) {
 
 TEST_P(SchemeEndToEnd, WrongReceiverTokenRejectedByCloud) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, GetParam(), 8);
+  TimedReleaseSession session(w.args(nullptr, GetParam(), 8));
   session.send(bytes_of("msg"), "bob-token");
   w.sim.run();
   ASSERT_TRUE(session.secret_released());
@@ -89,8 +106,7 @@ TEST_P(SchemeEndToEnd, WrongReceiverTokenRejectedByCloud) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeEndToEnd,
-                         ::testing::Values(joint_config(), disjoint_config(),
-                                           share_config()),
+                         ::testing::ValuesIn(kAllSchemes),
                          [](const auto& info) {
                            return to_string(info.param.kind);
                          });
@@ -101,6 +117,7 @@ struct KademliaWorld {
   sim::Simulator sim;
   Rng rng{2024};
   std::unique_ptr<dht::KademliaNetwork> net;
+  std::unique_ptr<SessionDispatcher> dispatcher;
   cloud::CloudStore cloud;
 
   explicit KademliaWorld(std::size_t nodes = 64) {
@@ -108,6 +125,7 @@ struct KademliaWorld {
     config.run_maintenance = false;
     net = std::make_unique<dht::KademliaNetwork>(sim, rng, config);
     net->bootstrap(nodes);
+    dispatcher = std::make_unique<SessionDispatcher>(*net);
   }
 };
 
@@ -115,7 +133,8 @@ class SchemeOnKademlia : public ::testing::TestWithParam<SessionConfig> {};
 
 TEST_P(SchemeOnKademlia, EndToEndOverXorMetricDht) {
   KademliaWorld w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, GetParam(), 7);
+  TimedReleaseSession session(SessionArgs{w.net.get(), &w.cloud, nullptr,
+                                          GetParam(), 7, w.dispatcher.get()});
   session.send(bytes_of("substrate-independent"), "bob");
   w.sim.run_until(session.release_time() - 1.0);
   EXPECT_FALSE(session.secret_released());
@@ -127,8 +146,7 @@ TEST_P(SchemeOnKademlia, EndToEndOverXorMetricDht) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeOnKademlia,
-                         ::testing::Values(joint_config(), disjoint_config(),
-                                           share_config()),
+                         ::testing::ValuesIn(kAllSchemes),
                          [](const auto& info) {
                            return to_string(info.param.kind);
                          });
@@ -139,7 +157,7 @@ TEST(Protocol, CentralizedStyleSingleHop) {
   c.kind = SchemeKind::kJoint;  // 1x1 joint == centralized storage
   c.shape = PathShape{1, 1};
   c.emerging_time = 600.0;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, c, 9);
+  TimedReleaseSession session(w.args(nullptr, c, 9));
   session.send(bytes_of("short"), "t");
   w.sim.run();
   ASSERT_TRUE(session.secret_released());
@@ -148,7 +166,7 @@ TEST(Protocol, CentralizedStyleSingleHop) {
 
 TEST(Protocol, HoldersAreDistinctNodes) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, share_config(), 10);
+  TimedReleaseSession session(w.args(nullptr, share_config(), 10));
   session.send(bytes_of("m"), "t");
   const PathLayout& layout = session.layout();
   std::set<dht::NodeId> seen;
@@ -167,7 +185,7 @@ TEST(Protocol, HoldersAreDistinctNodes) {
 
 TEST(Protocol, ReportCountsPlausible) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, joint_config(), 11);
+  TimedReleaseSession session(w.args(nullptr, joint_config(), 11));
   session.send(bytes_of("m"), "t");
   w.sim.run();
   const SessionReport& report = session.report();
@@ -180,7 +198,7 @@ TEST(Protocol, ReportCountsPlausible) {
 
 TEST(Protocol, ShareSchemeKeyAssignmentsOnlyColumnOne) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, share_config(), 12);
+  TimedReleaseSession session(w.args(nullptr, share_config(), 12));
   session.send(bytes_of("m"), "t");
   w.sim.run();
   EXPECT_EQ(session.report().key_assignments, 3u);  // n carriers of column 1
@@ -195,7 +213,7 @@ TEST(DropAttack, JointSurvivesOneMaliciousHolderPerColumn) {
   World w;
   Adversary adv(Adversary::Config{AttackMode::kDropping, 2, 1,
                                   crypto::CipherBackend::kChaCha20});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, joint_config(), 13);
+  TimedReleaseSession session(w.args(&adv, joint_config(), 13));
   session.send(bytes_of("m"), "t");
   const PathLayout& layout = session.layout();
   adv.mark_malicious(layout.columns[0][0]);  // H1,1
@@ -210,7 +228,7 @@ TEST(DropAttack, DisjointDiesWithOneMaliciousHolderPerPath) {
   World w;
   Adversary adv(Adversary::Config{AttackMode::kDropping, 2, 1,
                                   crypto::CipherBackend::kChaCha20});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, disjoint_config(), 13);
+  TimedReleaseSession session(w.args(&adv, disjoint_config(), 13));
   session.send(bytes_of("m"), "t");
   const PathLayout& layout = session.layout();
   adv.mark_malicious(layout.columns[0][0]);  // path 1 cut at column 1
@@ -224,7 +242,7 @@ TEST(DropAttack, JointDiesWhenAFullColumnIsMalicious) {
   World w;
   Adversary adv(Adversary::Config{AttackMode::kDropping, 2, 1,
                                   crypto::CipherBackend::kChaCha20});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, joint_config(), 14);
+  TimedReleaseSession session(w.args(&adv, joint_config(), 14));
   session.send(bytes_of("m"), "t");
   adv.mark_malicious(session.layout().columns[1][0]);
   adv.mark_malicious(session.layout().columns[1][1]);
@@ -238,7 +256,7 @@ TEST(DropAttack, ShareSchemeToleratesMinorityCarrierDrop) {
   World w;
   Adversary adv(Adversary::Config{AttackMode::kDropping, 0, 2,
                                   crypto::CipherBackend::kChaCha20});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, share_config(), 15);
+  TimedReleaseSession session(w.args(&adv, share_config(), 15));
   session.send(bytes_of("m"), "t");
   adv.mark_malicious(session.layout().columns[0][2]);  // extra carrier H3,1
   adv.mark_malicious(session.layout().columns[1][2]);  // extra carrier H3,2
@@ -250,7 +268,7 @@ TEST(DropAttack, ShareSchemeDiesWhenMajorityDrops) {
   World w;
   Adversary adv(Adversary::Config{AttackMode::kDropping, 0, 2,
                                   crypto::CipherBackend::kChaCha20});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, share_config(), 16);
+  TimedReleaseSession session(w.args(&adv, share_config(), 16));
   session.send(bytes_of("m"), "t");
   adv.mark_malicious(session.layout().columns[0][0]);
   adv.mark_malicious(session.layout().columns[0][1]);  // 2 of 3 carriers drop
@@ -266,7 +284,7 @@ TEST(ReleaseAhead, AllColumnsCompromisedRestoresAtStart) {
   World w;
   Adversary adv(Adversary::Config{AttackMode::kCovert, 2, 1,
                                   crypto::CipherBackend::kChaCha20});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, joint_config(), 17);
+  TimedReleaseSession session(w.args(&adv, joint_config(), 17));
   session.send(bytes_of("exam questions"), "t");
   const PathLayout& layout = session.layout();
   adv.mark_malicious(layout.columns[0][0]);
@@ -291,7 +309,7 @@ TEST(ReleaseAhead, GapInColumnsBlocksEarlyRestore) {
   World w;
   Adversary adv(Adversary::Config{AttackMode::kCovert, 2, 1,
                                   crypto::CipherBackend::kChaCha20});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, joint_config(), 18);
+  TimedReleaseSession session(w.args(&adv, joint_config(), 18));
   session.send(bytes_of("m"), "t");
   const PathLayout& layout = session.layout();
   adv.mark_malicious(layout.columns[0][0]);
@@ -317,7 +335,7 @@ TEST(ReleaseAhead, CleanPathsLeakNothing) {
   World w;
   Adversary adv(Adversary::Config{AttackMode::kCovert, 2, 1,
                                   crypto::CipherBackend::kChaCha20});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, joint_config(), 19);
+  TimedReleaseSession session(w.args(&adv, joint_config(), 19));
   session.send(bytes_of("m"), "t");
   w.sim.run();
   EXPECT_TRUE(session.secret_released());
@@ -331,7 +349,7 @@ TEST(ReleaseAhead, ShareSchemeNeedsThresholdPerColumn) {
   World w;
   Adversary adv(Adversary::Config{AttackMode::kCovert, 0, 2,
                                   crypto::CipherBackend::kChaCha20});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, share_config(), 20);
+  TimedReleaseSession session(w.args(&adv, share_config(), 20));
   session.send(bytes_of("m"), "t");
   const PathLayout& layout = session.layout();
   adv.mark_malicious(layout.columns[0][2]);
@@ -357,7 +375,7 @@ TEST(ReleaseAhead, ShareSchemeThresholdInOneColumnCascades) {
   World w;
   Adversary adv(Adversary::Config{AttackMode::kCovert, 0, 2,
                                   crypto::CipherBackend::kChaCha20});
-  TimedReleaseSession session(*w.net, w.cloud, &adv, share_config(), 21);
+  TimedReleaseSession session(w.args(&adv, share_config(), 21));
   session.send(bytes_of("m"), "t");
   const PathLayout& layout = session.layout();
   adv.mark_malicious(layout.columns[0][0]);
@@ -378,7 +396,7 @@ TEST(ReleaseAhead, ShareSchemeThresholdInOneColumnCascades) {
 
 TEST(ProtocolChurn, JointSurvivesHolderDeathMidHold) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, joint_config(), 22);
+  TimedReleaseSession session(w.args(nullptr, joint_config(), 22));
   session.send(bytes_of("m"), "t");
   const dht::NodeId victim = session.layout().columns[1][0];
   // Kill one column-2 holder while it is holding the package.
@@ -390,7 +408,7 @@ TEST(ProtocolChurn, JointSurvivesHolderDeathMidHold) {
 
 TEST(ProtocolChurn, DisjointLosesPathOnHolderDeath) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, disjoint_config(), 23);
+  TimedReleaseSession session(w.args(nullptr, disjoint_config(), 23));
   session.send(bytes_of("m"), "t");
   // Kill one holder per path mid-hold: both paths die, nothing emerges.
   const dht::NodeId victim1 = session.layout().columns[1][0];
@@ -405,7 +423,7 @@ TEST(ProtocolChurn, DisjointLosesPathOnHolderDeath) {
 
 TEST(ProtocolChurn, TerminalHolderDeathBeforeReleaseLosesItsCopy) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, joint_config(), 24);
+  TimedReleaseSession session(w.args(nullptr, joint_config(), 24));
   session.send(bytes_of("m"), "t");
   // Kill one terminal holder after it peeled but before tr: the other
   // terminal holder still delivers.
@@ -421,11 +439,11 @@ TEST(Protocol, ConfigValidation) {
   World w;
   SessionConfig bad = share_config();
   bad.threshold_m = 5;  // > carriers_n
-  EXPECT_THROW(TimedReleaseSession(*w.net, w.cloud, nullptr, bad, 1),
+  EXPECT_THROW(TimedReleaseSession(w.args(nullptr, bad, 1)),
                PreconditionError);
   SessionConfig tiny = joint_config();
   tiny.emerging_time = 0.5;  // holding period shorter than assembly delay
-  EXPECT_THROW(TimedReleaseSession(*w.net, w.cloud, nullptr, tiny, 1),
+  EXPECT_THROW(TimedReleaseSession(w.args(nullptr, tiny, 1)),
                PreconditionError);
 }
 
@@ -433,14 +451,16 @@ TEST(Protocol, MalformedPackagesAreDiscarded) {
   // A hostile node spams holders with garbage; the protocol must neither
   // crash nor stall.
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, joint_config(), 26);
+  TimedReleaseSession session(w.args(nullptr, joint_config(), 26));
   session.send(bytes_of("m"), "t");
   const dht::NodeId target = session.layout().columns[0][0];
   const dht::NodeId attacker = w.net->alive_ids().front();
   w.net->send_message(attacker, target, bytes_of("complete garbage"));
   w.net->send_message(attacker, target, Bytes{0x01});  // truncated header
   w.sim.run();
-  EXPECT_EQ(session.report().malformed_packages, 2u);
+  // Neither payload carries a session nonce, so the dispatcher counts them.
+  EXPECT_EQ(w.dispatcher->malformed_packages(), 2u);
+  EXPECT_EQ(session.report().malformed_packages, 0u);
   EXPECT_TRUE(session.secret_released());
 }
 
@@ -450,7 +470,7 @@ TEST(Protocol, ForgedSessionPackagesCannotHijackHolderSlots) {
   // session must ignore it: the slot is not claimed, the genuine package
   // processes normally, and the secret emerges on time.
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, disjoint_config(), 27);
+  TimedReleaseSession session(w.args(nullptr, disjoint_config(), 27));
   session.send(bytes_of("m"), "t");
   const dht::NodeId victim = session.layout().columns[1][1];
   Bytes fake;
@@ -466,21 +486,24 @@ TEST(Protocol, ForgedSessionPackagesCannotHijackHolderSlots) {
   }
   w.net->send_message(victim, victim, fake);
   w.sim.run();
+  EXPECT_EQ(w.dispatcher->stray_packages(), 1u);  // no session claims it
   EXPECT_EQ(session.report().holders_stuck, 0u);
   EXPECT_TRUE(session.secret_released());
 }
 
 TEST(Protocol, TwoConcurrentSessionsCoexist) {
-  // Sessions chain the network's default handler: two messages with
-  // different release times travel the same DHT independently.
+  // The dispatcher routes by session nonce: two messages with different
+  // release times travel the same DHT independently.
   World w(96);
-  TimedReleaseSession early(*w.net, w.cloud, nullptr, joint_config(), 28);
+  TimedReleaseSession early(w.args(nullptr, joint_config(), 28));
   SessionConfig late_config = joint_config();
   late_config.emerging_time = 7200.0;
-  TimedReleaseSession late(*w.net, w.cloud, nullptr, late_config, 29);
+  TimedReleaseSession late(w.args(nullptr, late_config, 29));
 
   early.send(bytes_of("first"), "t1");
   late.send(bytes_of("second"), "t2");
+  EXPECT_EQ(w.dispatcher->live_sessions(), 2u);
+  EXPECT_EQ(w.dispatcher->tracked_storage_keys(), 12u);  // 2x3 keys each
 
   w.sim.run_until(early.release_time() + 1.0);
   EXPECT_TRUE(early.secret_released());
@@ -492,43 +515,24 @@ TEST(Protocol, TwoConcurrentSessionsCoexist) {
   EXPECT_EQ(*late.receiver_decrypt("t2"), bytes_of("second"));
   EXPECT_EQ(early.report().holders_stuck, 0u);
   EXPECT_EQ(late.report().holders_stuck, 0u);
+  EXPECT_EQ(w.dispatcher->stray_packages(), 0u);
 }
 
 TEST(Protocol, SendTwiceRejected) {
   World w;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, joint_config(), 25);
+  TimedReleaseSession session(w.args(nullptr, joint_config(), 25));
   session.send(bytes_of("m"), "t");
   EXPECT_THROW(session.send(bytes_of("again"), "t"), PreconditionError);
   w.sim.run();
 }
 
-// -- dispatcher-managed sessions ----------------------------------------------
-
-TEST(Protocol, DispatchedSessionsDeliverLikeChainedOnes) {
-  World w;
-  SessionDispatcher dispatcher(*w.net);
-  auto first = std::make_unique<TimedReleaseSession>(
-      *w.net, w.cloud, nullptr, joint_config(), 91, &dispatcher);
-  auto second = std::make_unique<TimedReleaseSession>(
-      *w.net, w.cloud, nullptr, joint_config(), 92, &dispatcher);
-  first->send(bytes_of("one"), "t1");
-  second->send(bytes_of("two"), "t2");
-  EXPECT_EQ(dispatcher.live_sessions(), 2u);
-  EXPECT_GT(dispatcher.tracked_storage_keys(), 0u);
-
-  w.sim.run();
-  ASSERT_TRUE(first->secret_released());
-  ASSERT_TRUE(second->secret_released());
-  EXPECT_EQ(*first->receiver_decrypt("t1"), bytes_of("one"));
-  EXPECT_EQ(*second->receiver_decrypt("t2"), bytes_of("two"));
-  EXPECT_EQ(dispatcher.stray_packages(), 0u);
-}
+// -- retiring sessions --------------------------------------------------------
 
 TEST(Protocol, RetireErasesStoredKeysAndDeregisters) {
   World w;
-  SessionDispatcher dispatcher(*w.net);
+  SessionDispatcher& dispatcher = *w.dispatcher;
   auto session = std::make_unique<TimedReleaseSession>(
-      *w.net, w.cloud, nullptr, joint_config(), 93, &dispatcher);
+      w.args(nullptr, joint_config(), 93));
   session->send(bytes_of("m"), "t");
   w.sim.run();
   ASSERT_TRUE(session->secret_released());
@@ -550,9 +554,8 @@ TEST(Protocol, RetireErasesStoredKeysAndDeregisters) {
 
 TEST(Protocol, StrayPackagesForRetiredSessionsAreCountedNotDelivered) {
   World w;
-  SessionDispatcher dispatcher(*w.net);
   auto session = std::make_unique<TimedReleaseSession>(
-      *w.net, w.cloud, nullptr, joint_config(), 94, &dispatcher);
+      w.args(nullptr, joint_config(), 94));
   session->send(bytes_of("m"), "t");
   // Capture a genuine column-1 package off the wire by replaying what the
   // sender emitted: simplest is to let the world run, retire, then poke a
@@ -573,7 +576,7 @@ TEST(Protocol, StrayPackagesForRetiredSessionsAreCountedNotDelivered) {
   const std::vector<dht::NodeId>& alive = w.net->alive_ids();
   w.net->send_message(alive[0], alive[1], forged.take());
   w.sim.run();
-  EXPECT_EQ(dispatcher.stray_packages(), 1u);
+  EXPECT_EQ(w.dispatcher->stray_packages(), 1u);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "dht/churn_driver.hpp"
 #include "dht/kademlia.hpp"
 #include "emerge/protocol.hpp"
+#include "emerge/session_dispatcher.hpp"
 #include "sim/simulator.hpp"
 
 namespace emergence::core {
@@ -27,6 +28,7 @@ struct AnyWorld {
   std::unique_ptr<dht::ChordNetwork> chord;
   std::unique_ptr<dht::KademliaNetwork> kademlia;
   dht::Network* net = nullptr;
+  std::unique_ptr<SessionDispatcher> dispatcher;
   cloud::CloudStore cloud;
 
   AnyWorld(Backend backend, std::uint64_t seed, std::size_t nodes = 64,
@@ -50,6 +52,12 @@ struct AnyWorld {
       kademlia->bootstrap(nodes);
       net = kademlia.get();
     }
+    dispatcher = std::make_unique<SessionDispatcher>(*net);
+  }
+
+  SessionArgs args(Adversary* adversary, const SessionConfig& config,
+                   std::uint64_t seed) {
+    return SessionArgs{net, &cloud, adversary, config, seed, dispatcher.get()};
   }
 };
 
@@ -135,8 +143,8 @@ TEST(ProtocolProperties, ReportInvariantsAcrossSchemesBackendsAndModes) {
             if (coalition_rng.chance(0.25)) adversary.mark_malicious(id);
           }
 
-          TimedReleaseSession session(*w.net, w.cloud, &adversary, spec.config,
-                                      seed * 17 + 3);
+          TimedReleaseSession session(
+              w.args(&adversary, spec.config, seed * 17 + 3));
           session.send(bytes_of("property-payload"), "token");
           w.sim.run();
 
@@ -167,7 +175,7 @@ TEST(ProtocolProperties, ReportInvariantsHoldUnderChurn) {
       config.kind = SchemeKind::kJoint;
       config.shape = PathShape{2, 3};
       config.emerging_time = 900.0;
-      TimedReleaseSession session(*w.net, w.cloud, nullptr, config, seed);
+      TimedReleaseSession session(w.args(nullptr, config, seed));
       session.send(bytes_of("churny"), "token");
 
       dht::ChurnConfig churn_config;
@@ -201,7 +209,7 @@ TEST(ReleaseTiming, FirstDeliveryExactlyAtTrForEveryPathLength) {
     config.kind = SchemeKind::kJoint;
     config.shape = PathShape{2, l};
     config.emerging_time = 1000.0;  // th = 1000/l: inexact for l = 3 and 6
-    TimedReleaseSession session(*w.net, w.cloud, nullptr, config, 77 + l);
+    TimedReleaseSession session(w.args(nullptr, config, 77 + l));
     session.send(bytes_of("timing"), "token");
     w.sim.run();
 
@@ -223,7 +231,7 @@ TEST(ReleaseTiming, ShareSchemeDeliversExactlyAtTrToo) {
   config.carriers_n = 4;
   config.threshold_m = 2;
   config.emerging_time = 700.0;  // th = 233.33..
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, config, 52);
+  TimedReleaseSession session(w.args(nullptr, config, 52));
   session.send(bytes_of("timing"), "token");
   w.sim.run();
   ASSERT_TRUE(session.secret_released());
@@ -248,7 +256,7 @@ TEST(ReleaseTiming, ExactAtTrUnderWanTransportForEveryPathLength) {
       ASSERT_TRUE(wan.guarantees_exact_delivery(
           config.emerging_time / static_cast<double>(l),
           config.assembly_delay));
-      TimedReleaseSession session(*w.net, w.cloud, nullptr, config, 177 + l);
+      TimedReleaseSession session(w.args(nullptr, config, 177 + l));
       session.send(bytes_of("wan-timing"), "token");
       w.sim.run();
 
@@ -271,7 +279,7 @@ TEST(ReleaseTiming, IdealTransportStaysExactAtTr) {
   config.kind = SchemeKind::kJoint;
   config.shape = PathShape{2, 3};
   config.emerging_time = 900.0;
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, config, 62);
+  TimedReleaseSession session(w.args(nullptr, config, 62));
   session.send(bytes_of("ideal-timing"), "token");
   w.sim.run();
   ASSERT_TRUE(session.secret_released());
@@ -303,7 +311,7 @@ TEST(ReleaseTiming, PartitionOutageDeliversLateButWithinReapSlack) {
   config.emerging_time = 900.0;
   ASSERT_FALSE(w.net->transport().guarantees_exact_delivery(
       config.emerging_time / static_cast<double>(l), config.assembly_delay));
-  TimedReleaseSession session(*w.net, w.cloud, nullptr, config, 72);
+  TimedReleaseSession session(w.args(nullptr, config, 72));
   session.send(bytes_of("partition-timing"), "token");
   w.sim.run();
 

@@ -313,6 +313,23 @@ TEST(TransportGolden, IdealFleetFingerprintUnchangedBitForBit) {
             t.fingerprint());
 }
 
+TEST(TransportGolden, LossyShareExecutorFleetFingerprintUnchanged) {
+  // The executor family's golden, a reduced shape of the sim-share-lossy
+  // benchmark workload: Shamir routing against a 20% covert coalition, 5%
+  // iid loss with retries, churn at the fleet's maintenance cadence, and
+  // the 2-domain executor. Pinned values; any change to the event sequence
+  // of this fleet family moves one of the fingerprints.
+  core::SweepRunner sweeps(core::SweepOptions{2, 64});
+  const workload::ScenarioSpec spec = workload::parse_scenario(
+      "share-threshold:population=2000,sessions=500,net=lossy,domains=2,"
+      "seed=0x5A1E");
+  const workload::FleetTally t = workload::run_scenario(sweeps, spec);
+  EXPECT_EQ(t.fingerprint(), 4095196877436334573ULL);
+  EXPECT_EQ(t.transport.fingerprint(), 8156097701163546265ULL);
+  EXPECT_GT(t.churn_deaths, 0u);
+  EXPECT_GT(t.transport.retried, 0u);
+}
+
 // -- thread-count invariance of a lossy WAN fleet -----------------------------
 
 TEST(TransportInvariance, LossyWanFleetBitIdenticalAcrossThreadCounts) {

@@ -333,20 +333,6 @@ TEST(Scenarios, ParserRejectsMalformedSpecsWithClearDiagnostics) {
   EXPECT_THROW(parse_scenario(""), PreconditionError);
 }
 
-TEST(Scenarios, BridgesOntoTheE2eRunner) {
-  ScenarioSpec spec = find_scenario("share-threshold");
-  spec.population = 64;
-  const core::E2eScenario e2e = to_e2e_scenario(spec, 25);
-  EXPECT_EQ(e2e.kind, core::SchemeKind::kShare);
-  EXPECT_EQ(e2e.carriers_n, 4u);
-  EXPECT_EQ(e2e.threshold_m, 2u);
-  EXPECT_EQ(e2e.population, 64u);
-  EXPECT_EQ(e2e.runs, 25u);
-  EXPECT_EQ(e2e.sessions, 1u);
-  EXPECT_DOUBLE_EQ(e2e.p, spec.malicious_p);
-  EXPECT_EQ(e2e.churn, spec.churn);
-}
-
 // -- Network::erase hygiene ---------------------------------------------------
 
 template <typename Net>
@@ -476,6 +462,20 @@ TEST(SessionFleet, DroppingCoalitionDropsAndCovertCoalitionLeaks) {
   EXPECT_EQ(covert.tally.drop.successes(), 0u);
   EXPECT_EQ(covert.sessions_delivered, covert.sessions_started);
   EXPECT_GT(covert.tally.suffix_at_least(1), 0u);
+}
+
+TEST(SessionFleet, MaintenanceCadenceFollowsTheMeanLifetime) {
+  // min(240 s, mean_lifetime / 50): both benchmark fleets sit on the cap.
+  EXPECT_EQ(SessionFleet::repair_interval(find_scenario("metro-diurnal")),
+            240.0);
+  EXPECT_EQ(SessionFleet::repair_interval(find_scenario("share-threshold")),
+            240.0);
+  EXPECT_EQ(SessionFleet::repair_interval(find_scenario("heavy-tail-churn")),
+            120.0);
+  ScenarioSpec crossval = find_scenario("share-threshold");
+  crossval.emerging_time = 1800.0;
+  crossval.churn_alpha = 2.0;
+  EXPECT_EQ(SessionFleet::repair_interval(crossval), 18.0);
 }
 
 TEST(SessionFleet, RunsEveryRegistryScenarioAtSmokeScale) {
