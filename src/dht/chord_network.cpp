@@ -68,24 +68,29 @@ ChordNode& ChordNetwork::allocate_node(const NodeId& id) {
   return fresh;
 }
 
-void ChordNetwork::register_alive(const NodeId& id) {
+void ChordNetwork::register_alive(ChordNode& node) {
+  const NodeId& id = node.id();
   alive_index_[id] = alive_ids_.size();
   alive_ids_.push_back(id);
+  alive_nodes_.push_back(&node);
   live_ring_.insert(id);
   // Every node's zone is primed from serial code (bootstrap / churn joins),
   // so zone_of stays a pure read when domains sample latencies in parallel.
   transport_.prime_zone(id);
 }
 
-void ChordNetwork::unregister_alive(const NodeId& id) {
+void ChordNetwork::unregister_alive(const ChordNode& node) {
+  const NodeId& id = node.id();  // the node's own copy, never alive_ids_'
   auto it = alive_index_.find(id);
   if (it == alive_index_.end()) return;
-  live_ring_.erase(id);  // before the swap-pop: `id` may alias alive_ids_
+  live_ring_.erase(id);
   const std::size_t pos = it->second;
   const NodeId last = alive_ids_.back();
   alive_ids_[pos] = last;
+  alive_nodes_[pos] = alive_nodes_.back();
   alive_index_[last] = pos;
   alive_ids_.pop_back();
+  alive_nodes_.pop_back();
   alive_index_.erase(it);
 }
 
@@ -96,27 +101,27 @@ void ChordNetwork::bootstrap(std::size_t count) {
   nodes_.reserve(count);
   alive_index_.reserve(count);
   alive_ids_.reserve(count);
+  alive_nodes_.reserve(count);
 
-  std::vector<NodeId> ids;
-  ids.reserve(count);
+  std::vector<PeerRef> ring;
+  ring.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const NodeId id = fresh_node_id();
-    ids.push_back(id);
-    allocate_node(id);
-    register_alive(id);
+    ChordNode& n = allocate_node(fresh_node_id());
+    ring.push_back(n.self());
+    register_alive(n);
   }
-  std::sort(ids.begin(), ids.end());
+  std::sort(ring.begin(), ring.end(),
+            [](const PeerRef& a, const PeerRef& b) { return a.id < b.id; });
 
   // Wire exact ring pointers.
   for (std::size_t i = 0; i < count; ++i) {
-    ChordNode& n = *nodes_.at(ids[i]);
-    std::vector<NodeId> succ;
+    std::vector<PeerRef> succ;
     succ.reserve(std::min(config_.successor_list_size, count - 1));
     for (std::size_t s = 1; s <= config_.successor_list_size && s < count; ++s)
-      succ.push_back(ids[(i + s) % count]);
-    if (succ.empty()) succ.push_back(ids[i]);
+      succ.push_back(ring[(i + s) % count]);
+    ChordNode& n = *ring[i].node;
     n.set_successor_list(std::move(succ));
-    n.set_predecessor(ids[(i + count - 1) % count]);
+    n.set_predecessor(ring[(i + count - 1) % count]);
   }
 
   // Exact fingers, built as runs. The finger for start = id + 2^p is the
@@ -127,11 +132,12 @@ void ChordNetwork::bootstrap(std::size_t count) {
   // grow monotonically along the ring, so each node needs one monotone
   // sweep of ~log2(n) binary searches instead of kIdBits of them, and each
   // discovered finger covers the whole power range up to
-  // floor(log2(distance)) in a single run.
+  // floor(log2(distance)) in a single run. Each table is built in a
+  // scratch table and copied out at exact capacity.
+  FingerTable scratch;
   for (std::size_t i = 0; i < count; ++i) {
-    const NodeId& x = ids[i];
-    FingerTable& table = nodes_.at(x)->finger_table();
-    table.clear();
+    const NodeId& x = ring[i].id;
+    scratch.clear();
     std::size_t p = 0;
     std::size_t t_lo = 1;  // ring offset of the first candidate
     while (p < kIdBits) {
@@ -144,7 +150,7 @@ void ChordNetwork::bootstrap(std::size_t count) {
       std::size_t hi = count;
       while (lo < hi) {
         const std::size_t mid = lo + (hi - lo) / 2;
-        const NodeId& y = ids[(i + mid) % count];
+        const NodeId& y = ring[(i + mid) % count].id;
         if (!in_open_interval(y, x, start)) {
           hi = mid;
         } else {
@@ -152,85 +158,87 @@ void ChordNetwork::bootstrap(std::size_t count) {
         }
       }
       std::size_t hi_power = kIdBits - 1;
-      NodeId finger = x;
+      const PeerRef* finger = &ring[i];
       if (lo < count) {
-        finger = ids[(i + lo) % count];
-        hi_power = floor_log2_distance(x, finger);
+        finger = &ring[(i + lo) % count];
+        hi_power = floor_log2_distance(x, finger->id);
       }
-      table.append_run(p, hi_power, finger);
+      scratch.append_run(p, hi_power, *finger);
       p = hi_power + 1;
       t_lo = lo;
     }
+    ring[i].node->finger_table().assign_compact(scratch);
   }
 
   if (config_.run_maintenance) {
-    for (const NodeId& id : ids) schedule_maintenance(id);
+    for (const PeerRef& peer : ring) schedule_maintenance(*peer.node);
   }
 }
 
-void ChordNetwork::schedule_maintenance(const NodeId& id) {
+void ChordNetwork::schedule_maintenance(ChordNode& node) {
   // Jitter the initial phases so maintenance does not run in lockstep; each
   // timer then re-arms at its own fixed interval. (An earlier revision
   // re-armed repair from the stabilize callback, so repair fired at
   // stabilize_interval cadence with a fresh random phase every round —
   // ~4x the configured rate under the default intervals.)
-  schedule_stabilize_in(rng_.real() * config_.stabilize_interval, id);
-  schedule_repair_in(rng_.real() * config_.replica_repair_interval, id);
+  schedule_stabilize_in(rng_.real() * config_.stabilize_interval, node);
+  schedule_repair_in(rng_.real() * config_.replica_repair_interval, node);
 }
 
-void ChordNetwork::schedule_stabilize_in(double delay, const NodeId& id) {
-  // Capture the node's incarnation: a timer whose node died stops, and a
-  // timer that outlived a kill-then-rejoin of the same id stops too (the
-  // rejoin armed its own chain; without the check the node would run two).
-  const std::uint64_t incarnation = nodes_.at(id)->incarnation();
-  simulator_.schedule_in(delay, [this, id, incarnation]() {
-    ChordNode* n = live_node(id);
-    if (n == nullptr || n->incarnation() != incarnation) return;
-    n->stabilize();
-    n->fix_fingers();
-    n->check_predecessor();
-    ++maintenance_stats_.stabilize_rounds;
-    schedule_stabilize_in(config_.stabilize_interval, id);
-  });
+// The timers capture the node's handle and incarnation: a timer whose node
+// died stops, and a timer that outlived a kill-then-rejoin of the same id
+// stops too (the rejoin armed its own chain; without the check the node
+// would run two). Two words fit std::function's inline buffer, so arming a
+// timer allocates nothing.
+void ChordNetwork::schedule_stabilize_in(double delay, ChordNode& node) {
+  simulator_.schedule_in(
+      delay, [n = &node, incarnation = node.incarnation()]() {
+        if (!n->alive() || n->incarnation() != incarnation) return;
+        n->stabilize();
+        n->fix_fingers();
+        n->check_predecessor();
+        ChordNetwork& net = n->network();
+        ++net.maintenance_stats_.stabilize_rounds;
+        net.schedule_stabilize_in(net.config_.stabilize_interval, *n);
+      });
 }
 
-void ChordNetwork::schedule_repair_in(double delay, const NodeId& id) {
-  const std::uint64_t incarnation = nodes_.at(id)->incarnation();
-  simulator_.schedule_in(delay, [this, id, incarnation]() {
-    ChordNode* n = live_node(id);
-    if (n == nullptr || n->incarnation() != incarnation) return;
-    n->replica_maintenance(config_.replication_factor);
-    ++maintenance_stats_.repair_rounds;
-    schedule_repair_in(config_.replica_repair_interval, id);
-  });
+void ChordNetwork::schedule_repair_in(double delay, ChordNode& node) {
+  simulator_.schedule_in(
+      delay, [n = &node, incarnation = node.incarnation()]() {
+        if (!n->alive() || n->incarnation() != incarnation) return;
+        ChordNetwork& net = n->network();
+        n->replica_maintenance(net.config_.replication_factor);
+        ++net.maintenance_stats_.repair_rounds;
+        net.schedule_repair_in(net.config_.replica_repair_interval, *n);
+      });
 }
 
 NodeId ChordNetwork::add_node() { return add_node_with_id(fresh_node_id()); }
 
 NodeId ChordNetwork::add_node_with_id(const NodeId& id) {
-  require(nodes_.find(id) == nodes_.end() || !nodes_.at(id)->alive(),
+  const ChordNode* existing = node(id);
+  require(existing == nullptr || !existing->alive(),
           "ChordNetwork::add_node_with_id: id already in use");
-  ChordNode* raw = &allocate_node(id);
+  ChordNode& fresh = allocate_node(id);
 
   if (alive_ids_.empty()) {
-    raw->create();
+    fresh.create();
   } else {
     const NodeId bootstrap = alive_ids_[rng_.index(alive_ids_.size())];
-    raw->join(bootstrap);
+    fresh.join(bootstrap);
   }
-  register_alive(id);
+  register_alive(fresh);
   if (config_.exact_join_fingers) {
-    raw->fix_all_fingers();
+    fresh.fix_all_fingers();
   } else {
     // O(log n) join: adopt the successor's (ring-adjacent, hence mostly
     // correct) finger table; periodic fix_fingers converges it.
-    ChordNode* succ = live_node(raw->successor());
-    if (succ != nullptr && succ != raw) {
-      raw->finger_table() = succ->finger_table();
-    }
-    raw->set_finger(0, raw->successor());
+    const ChordNode* succ = fresh.successor_peer().node;
+    if (succ != &fresh) fresh.finger_table() = succ->finger_table();
+    fresh.set_finger(0, fresh.successor_peer());
   }
-  if (config_.run_maintenance) schedule_maintenance(id);
+  if (config_.run_maintenance) schedule_maintenance(fresh);
   return id;
 }
 
@@ -239,20 +247,18 @@ void ChordNetwork::kill_node(const NodeId& id) {
   if (n == nullptr) return;
   // Callers may pass a reference into alive_ids_ itself (e.g.
   // kill_node(alive_ids()[i])); unregister_alive's swap-pop overwrites that
-  // slot, so work from a stable copy of the id.
-  const NodeId victim = n->id();
+  // slot, so work from the node's own copy of the id.
   n->fail();
-  unregister_alive(victim);
-  handlers_.erase(victim);
+  unregister_alive(*n);
+  handlers_.erase(n->id());
 }
 
 void ChordNetwork::remove_node(const NodeId& id) {
   ChordNode* n = live_node(id);
   if (n == nullptr) return;
-  const NodeId victim = n->id();  // see kill_node on aliasing
   n->leave();
-  unregister_alive(victim);
-  handlers_.erase(victim);
+  unregister_alive(*n);  // see kill_node on aliasing
+  handlers_.erase(n->id());
 }
 
 ChordNode* ChordNetwork::node(const NodeId& id) {
@@ -277,40 +283,55 @@ ChordNode& ChordNetwork::random_live_node() {
   // network stream, preserving the legacy draw sequence bit-for-bit.
   auto* ctx = sim::ExecutionContext::active_on(&simulator_);
   Rng& rng = (ctx != nullptr && ctx->rng != nullptr) ? *ctx->rng : rng_;
-  return *nodes_.at(alive_ids_[rng.index(alive_ids_.size())]);
+  return *alive_nodes_[rng.index(alive_nodes_.size())];
 }
 
-LookupResult ChordNetwork::lookup(const NodeId& key) {
-  const LookupResult result = random_live_node().find_successor(key);
+ChordLookup ChordNetwork::route(const NodeId& key) {
+  const ChordLookup found = random_live_node().find_successor(key);
   auto* ctx = sim::ExecutionContext::active_on(&simulator_);
   LookupStats& stats = (ctx != nullptr && ctx->lookup_stats != nullptr)
                            ? *ctx->lookup_stats
                            : lookup_stats_;
-  stats.record(result);
-  return result;
+  stats.record(found.result());
+  return found;
+}
+
+LookupResult ChordNetwork::lookup(const NodeId& key) {
+  return route(key).result();
 }
 
 bool ChordNetwork::put(const NodeId& key, SharedBytes value) {
   require(value != nullptr, "ChordNetwork::put: null value");
-  const LookupResult result = lookup(key);
-  if (!result.ok) return false;
-  ChordNode* primary = live_node(result.node);
-  if (primary == nullptr) return false;
+  const ChordLookup found = route(key);
+  if (!found.ok) return false;
+  ChordNode* primary = found.peer.node;
+  if (!primary->alive()) return false;
   primary->store_local(key, value);
 
-  NodeId target = primary->successor();
+  ChordNode* t = primary->successor_peer().node;
   for (std::size_t copy = 1; copy < config_.replication_factor; ++copy) {
-    ChordNode* t = live_node(target);
-    if (t == nullptr || t == primary) break;
+    if (!t->alive() || t == primary) break;
     t->store_local(key, value);  // replicas share the buffer
-    target = t->successor();
+    t = t->successor_peer().node;
   }
   return true;
 }
 
+ChordNode* ChordNetwork::next_replica_candidate(ChordNode& t) {
+  ChordNode* next = t.successor_peer().node;
+  if (next != &t) return next;
+  // Successor list exhausted (e.g. a fresh joiner whose only successor died
+  // before it re-stabilized; routed lookups would just bounce off the same
+  // broken pointer). Step to the true ring successor through the sorted
+  // live index — O(log n), and exactly the node one stabilize round would
+  // restore as the successor. The index answers with an id.
+  const std::optional<NodeId> step = live_ring_.successor_of(t.id());
+  return step.has_value() ? live_node(*step) : nullptr;  // null: alone
+}
+
 SharedBytes ChordNetwork::get(const NodeId& key) {
-  const LookupResult result = lookup(key);
-  if (!result.ok) return nullptr;
+  const ChordLookup found = route(key);
+  if (!found.ok) return nullptr;
   // Replicas live on the first replication_factor live successors of the
   // primary *at put/repair time*. When responsibility migrates afterwards
   // (the primary dies, or fresh nodes join between the key and the old
@@ -318,52 +339,35 @@ SharedBytes ChordNetwork::get(const NodeId& key) {
   // of the surviving copies, so a walk of exactly replication_factor nodes
   // misses reachable data. Walk up to successor_list_size extra live nodes
   // and stop when the ring wraps back to the start.
-  NodeId target = result.node;
+  ChordNode* t = found.peer.node;
   const std::size_t max_visits =
       config_.replication_factor + config_.successor_list_size;
   for (std::size_t visit = 0; visit < max_visits; ++visit) {
-    ChordNode* t = live_node(target);
-    if (t == nullptr) break;
+    if (!t->alive()) break;
     SharedBytes value = t->storage().get(key);
     if (value != nullptr) return value;
-    NodeId next = t->successor();
-    if (next == t->id()) {
-      // Successor list exhausted (e.g. a fresh joiner whose only successor
-      // died before it re-stabilized; routed lookups would just bounce off
-      // the same broken pointer). Step to the true ring successor through
-      // the sorted live index — O(log n), and exactly the node one
-      // stabilize round would restore as the successor.
-      const std::optional<NodeId> step = live_ring_.successor_of(t->id());
-      if (!step.has_value()) break;  // genuinely alone
-      next = *step;
-    }
-    if (next == result.node) break;  // wrapped around
-    target = next;
+    ChordNode* next = next_replica_candidate(*t);
+    if (next == nullptr || next == found.peer.node) break;  // alone / wrapped
+    t = next;
   }
   return nullptr;
 }
 
 std::size_t ChordNetwork::erase(const NodeId& key) {
-  const LookupResult result = lookup(key);
-  if (!result.ok) return 0;
+  const ChordLookup found = route(key);
+  if (!found.ok) return 0;
   // Same walk as get(): the responsible node plus enough live successors to
   // cover replicas stranded behind interloper joins.
   std::size_t erased = 0;
-  NodeId target = result.node;
+  ChordNode* t = found.peer.node;
   const std::size_t max_visits =
       config_.replication_factor + config_.successor_list_size;
   for (std::size_t visit = 0; visit < max_visits; ++visit) {
-    ChordNode* t = live_node(target);
-    if (t == nullptr) break;
+    if (!t->alive()) break;
     if (t->storage().erase(key)) ++erased;
-    NodeId next = t->successor();
-    if (next == t->id()) {
-      const std::optional<NodeId> step = live_ring_.successor_of(t->id());
-      if (!step.has_value()) break;  // genuinely alone
-      next = *step;
-    }
-    if (next == result.node) break;  // wrapped around
-    target = next;
+    ChordNode* next = next_replica_candidate(*t);
+    if (next == nullptr || next == found.peer.node) break;  // alone / wrapped
+    t = next;
   }
   return erased;
 }
@@ -388,6 +392,16 @@ void ChordNetwork::set_message_handler(const NodeId& node_id,
   handlers_[node_id] = std::move(handler);
 }
 
+void ChordNetwork::deliver(const NodeId& from, const NodeId& to,
+                           BytesView payload) {
+  auto it = handlers_.find(to);
+  if (it != handlers_.end()) {
+    it->second(from, to, payload);
+  } else if (default_handler_) {
+    default_handler_(from, to, payload);
+  }
+}
+
 void ChordNetwork::send_message(const NodeId& from, const NodeId& to,
                                 SharedBytes payload) {
   require(payload != nullptr, "ChordNetwork::send_message: null payload");
@@ -402,14 +416,8 @@ void ChordNetwork::send_message(const NodeId& from, const NodeId& to,
   transport_.send(
       simulator_, rng, stats, from, to,
       [this, from, to, payload = std::move(payload)]() {
-        ChordNode* dest = live_node(to);
-        if (dest == nullptr) return;  // dead destination: lost
-        auto it = handlers_.find(to);
-        if (it != handlers_.end()) {
-          it->second(from, to, *payload);
-        } else if (default_handler_) {
-          default_handler_(from, to, *payload);
-        }
+        if (live_node(to) == nullptr) return;  // dead destination: lost
+        deliver(from, to, *payload);
       },
       trace);
 }
@@ -430,32 +438,23 @@ void ChordNetwork::send_message_routed(const NodeId& from,
   transport_.send(
       simulator_, rng, stats, from, ring_point,
       [this, from, ring_point, payload = std::move(payload)]() {
-        const LookupResult result = lookup(ring_point);
-        if (!result.ok) return;
-        ChordNode* dest = live_node(result.node);
-        if (dest == nullptr) return;
-        auto it = handlers_.find(result.node);
-        if (it != handlers_.end()) {
-          it->second(from, result.node, *payload);
-        } else if (default_handler_) {
-          default_handler_(from, result.node, *payload);
-        }
+        const ChordLookup found = route(ring_point);
+        if (!found.ok || !found.peer.node->alive()) return;
+        deliver(from, found.peer.id, *payload);
       },
       trace);
 }
 
 void ChordNetwork::run_maintenance_round() {
-  // Snapshot ids: maintenance can change the alive set.
-  const std::vector<NodeId> ids = alive_ids_;
-  for (const NodeId& id : ids) {
-    ChordNode* n = live_node(id);
-    if (n == nullptr) continue;
+  // Snapshot the handles: maintenance can change the alive set.
+  const std::vector<ChordNode*> nodes = alive_nodes_;
+  for (ChordNode* n : nodes) {
+    if (!n->alive()) continue;
     n->stabilize();
     n->check_predecessor();
   }
-  for (const NodeId& id : ids) {
-    ChordNode* n = live_node(id);
-    if (n == nullptr) continue;
+  for (ChordNode* n : nodes) {
+    if (!n->alive()) continue;
     n->fix_all_fingers();
     n->replica_maintenance(config_.replication_factor);
   }

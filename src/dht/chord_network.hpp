@@ -9,11 +9,14 @@
 // protocol timing (holding periods, release times) is meaningful.
 //
 // Scale notes (see docs/architecture.md, "Performance model"): nodes live
-// in a stable deque arena (one allocation batch, pointers never move), the
-// live set is indexed both by a swap-pop vector (O(1) sampling) and a
-// sorted LiveRingIndex (O(log n) ring-successor queries), bootstrap wires
-// exact fingers in O(n log^2 n) without per-power binary searches, and all
-// stored/sent payloads are shared buffers (see common/bytes.hpp).
+// in a stable deque arena (one allocation batch, pointers never move, and a
+// rejoining id reuses its slot), so every peer reference carries the peer's
+// arena handle and routing, maintenance and routed delivery follow handles
+// instead of hashing ids; the id map serves only the entry points addressed
+// by id. The live set is indexed both by a swap-pop vector (O(1) sampling)
+// and a sorted LiveRingIndex (O(log n) ring-successor queries), bootstrap
+// wires exact fingers in O(n log^2 n) without per-power binary searches,
+// and all stored/sent payloads are shared buffers (see common/bytes.hpp).
 #pragma once
 
 #include <deque>
@@ -181,13 +184,22 @@ class ChordNetwork final : public Network {
   void run_maintenance_round();
 
  private:
-  void schedule_maintenance(const NodeId& id);
-  void schedule_stabilize_in(double delay, const NodeId& id);
-  void schedule_repair_in(double delay, const NodeId& id);
+  /// lookup() with the responsible peer's handle: what put, get, erase and
+  /// routed delivery act on.
+  ChordLookup route(const NodeId& key);
+  void schedule_maintenance(ChordNode& node);
+  void schedule_stabilize_in(double delay, ChordNode& node);
+  void schedule_repair_in(double delay, ChordNode& node);
   NodeId fresh_node_id();
   ChordNode& allocate_node(const NodeId& id);
-  void register_alive(const NodeId& id);
-  void unregister_alive(const NodeId& id);
+  void register_alive(ChordNode& node);
+  void unregister_alive(const ChordNode& node);
+  /// The replica walk's step after live node `t`: its first live
+  /// successor, or the true ring successor when its list is exhausted;
+  /// null when `t` is alone.
+  ChordNode* next_replica_candidate(ChordNode& t);
+  /// Hands `payload` to `to`'s handler, else the default handler.
+  void deliver(const NodeId& from, const NodeId& to, BytesView payload);
 
   sim::Simulator& simulator_;
   Rng& rng_;
@@ -200,8 +212,10 @@ class ChordNetwork final : public Network {
   /// Node arena: stable addresses, no per-node unique_ptr allocation, dead
   /// nodes stay (peers probe their liveness, exactly as before).
   std::deque<ChordNode> arena_;
+  /// Id -> arena slot, for the entry points addressed by id only.
   std::unordered_map<NodeId, ChordNode*, NodeIdHash> nodes_;
   std::vector<NodeId> alive_ids_;
+  std::vector<ChordNode*> alive_nodes_;  // lockstep with alive_ids_
   std::unordered_map<NodeId, std::size_t, NodeIdHash> alive_index_;
   LiveRingIndex live_ring_;
   std::unordered_map<NodeId, MessageHandler, NodeIdHash> handlers_;

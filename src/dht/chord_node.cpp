@@ -10,55 +10,54 @@ namespace emergence::dht {
 ChordNode::ChordNode(ChordNetwork& network, NodeId id,
                      std::size_t successor_list_size)
     : network_(network),
-      id_(id),
+      self_{id, this},
       successor_list_size_(successor_list_size) {}
 
-NodeId ChordNode::successor() const {
-  for (const NodeId& s : successors_) {
-    const ChordNode* n = network_.node(s);
-    if (n != nullptr && n->alive()) return s;
+const PeerRef& ChordNode::successor_peer() const {
+  for (const PeerRef& s : successors_) {
+    if (s.node->alive()) return s;
   }
-  return id_;
+  return self_;
 }
 
 bool ChordNode::responsible_for(const NodeId& key) const {
   if (!predecessor_.has_value()) return true;  // alone or still joining
-  return in_half_open_interval(key, *predecessor_, id_);
+  return in_half_open_interval(key, predecessor_->id, id());
 }
 
 void ChordNode::create() {
   predecessor_.reset();
   successors_.clear();
-  successors_.push_back(id_);
+  successors_.push_back(self_);
 }
 
 void ChordNode::join(const NodeId& bootstrap) {
   ChordNode* entry = network_.live_node(bootstrap);
   require(entry != nullptr, "ChordNode::join: bootstrap node is dead");
   predecessor_.reset();
-  const LookupResult result = entry->find_successor(id_);
+  const ChordLookup result = entry->find_successor(id());
   require(result.ok, "ChordNode::join: lookup failed");
   successors_.clear();
-  successors_.push_back(result.node);
+  successors_.push_back(result.peer);
 
   // Pull the keys this node is now responsible for from its successor.
-  ChordNode* succ = network_.live_node(result.node);
-  if (succ != nullptr && succ != this) {
-    const std::optional<NodeId> succ_pred = succ->predecessor();
-    const NodeId lower = succ_pred.value_or(result.node);
-    for (const NodeId& key : succ->storage().keys_in_range(lower, id_)) {
+  ChordNode* succ = result.peer.node;
+  if (succ->alive() && succ != this) {
+    const NodeId lower =
+        succ->predecessor_.has_value() ? succ->predecessor_->id : succ->id();
+    for (const NodeId& key : succ->storage().keys_in_range(lower, id())) {
       SharedBytes value = succ->storage().get(key);
       if (value != nullptr) store_local(key, std::move(value));
     }
-    succ->notify(id_);
+    succ->notify(self_);
   }
 }
 
 void ChordNode::leave() {
   if (!alive_) return;
   // Hand all keys to the live successor before departing.
-  ChordNode* succ = network_.live_node(successor());
-  if (succ != nullptr && succ != this) {
+  ChordNode* succ = successor_peer().node;
+  if (succ != this) {
     for (const NodeId& key : storage_.all_keys()) {
       SharedBytes value = storage_.get(key);
       if (value != nullptr) succ->store_local(key, std::move(value));
@@ -86,78 +85,71 @@ void ChordNode::reset_for_rejoin() {
 }
 
 void ChordNode::prune_dead_successors() {
-  std::erase_if(successors_, [this](const NodeId& s) {
-    const ChordNode* n = network_.node(s);
-    return n == nullptr || !n->alive();
-  });
+  std::erase_if(successors_,
+                [](const PeerRef& s) { return !s.node->alive(); });
 }
 
 void ChordNode::stabilize() {
   if (!alive_) return;
   prune_dead_successors();
-  if (successors_.empty()) successors_.push_back(id_);
+  if (successors_.empty()) successors_.push_back(self_);
 
-  const NodeId succ_id = successor();
-  ChordNode* succ = network_.live_node(succ_id);
-  if (succ == nullptr) return;
+  // Live: the pruned list's head, or this node.
+  PeerRef succ = successor_peer();
 
   // Adopt a node that slid between us and our successor.
-  const std::optional<NodeId> x = succ->predecessor();
-  if (x.has_value() && *x != id_ && in_open_interval(*x, id_, succ_id)) {
-    const ChordNode* candidate = network_.live_node(*x);
-    if (candidate != nullptr) {
-      successors_.insert(successors_.begin(), *x);
-      succ = network_.live_node(successor());
-      if (succ == nullptr) return;
-    }
+  const std::optional<PeerRef> x = succ.node->predecessor_;
+  if (x.has_value() && x->node != this && x->node->alive() &&
+      in_open_interval(x->id, id(), succ.id)) {
+    successors_.insert(successors_.begin(), *x);
+    succ = *x;
   }
 
   // Refresh the successor list from the successor's list.
-  std::vector<NodeId> fresh;
-  fresh.push_back(successor());
-  for (const NodeId& s : succ->successor_list()) {
-    if (s == id_) continue;
-    if (std::find(fresh.begin(), fresh.end(), s) != fresh.end()) continue;
+  std::vector<PeerRef> fresh;
+  fresh.reserve(successor_list_size_);
+  fresh.push_back(succ);
+  for (const PeerRef& s : succ.node->successors_) {
+    if (s.node == this) continue;
+    if (std::any_of(fresh.begin(), fresh.end(),
+                    [&](const PeerRef& f) { return f.node == s.node; }))
+      continue;
     fresh.push_back(s);
     if (fresh.size() >= successor_list_size_) break;
   }
   successors_ = std::move(fresh);
 
-  ChordNode* first = network_.live_node(successor());
-  if (first != nullptr && first != this) first->notify(id_);
+  if (succ.node != this) succ.node->notify(self_);
 }
 
-void ChordNode::notify(const NodeId& candidate) {
+void ChordNode::notify(const PeerRef& candidate) {
   if (!alive_) return;
-  if (candidate == id_) return;
-  const ChordNode* cand = network_.live_node(candidate);
-  if (cand == nullptr) return;
+  if (candidate.node == this || !candidate.node->alive()) return;
   if (!predecessor_.has_value() ||
-      in_open_interval(candidate, *predecessor_, id_) ||
-      network_.live_node(*predecessor_) == nullptr) {
+      in_open_interval(candidate.id, predecessor_->id, id()) ||
+      !predecessor_->node->alive()) {
     predecessor_ = candidate;
   }
 }
 
 void ChordNode::fix_fingers() {
   if (!alive_) return;
-  const NodeId target = id_.add_power_of_two(next_finger_);
-  const LookupResult result = find_successor(target);
-  if (result.ok) fingers_.set(next_finger_, result.node);
-  next_finger_ = (next_finger_ + 1) % kIdBits;
+  const ChordLookup result =
+      find_successor(id().add_power_of_two(next_finger_));
+  if (result.ok) fingers_.set(next_finger_, result.peer);
+  next_finger_ = static_cast<std::uint8_t>((next_finger_ + 1) % kIdBits);
 }
 
 void ChordNode::fix_all_fingers() {
   for (std::size_t i = 0; i < kIdBits; ++i) {
-    const LookupResult result = find_successor(id_.add_power_of_two(i));
-    if (result.ok) fingers_.set(i, result.node);
+    const ChordLookup result = find_successor(id().add_power_of_two(i));
+    if (result.ok) fingers_.set(i, result.peer);
   }
 }
 
 void ChordNode::check_predecessor() {
   if (!alive_) return;
-  if (predecessor_.has_value() &&
-      network_.live_node(*predecessor_) == nullptr) {
+  if (predecessor_.has_value() && !predecessor_->node->alive()) {
     predecessor_.reset();
   }
 }
@@ -168,75 +160,58 @@ void ChordNode::replica_maintenance(std::size_t replication_factor) {
   // Push every key we hold to the nodes that should replicate it: the
   // responsible node and its replication_factor-1 successors.
   for (const NodeId& key : storage_.all_keys()) {
-    const LookupResult result = find_successor(key);
+    const ChordLookup result = find_successor(key);
     if (!result.ok) continue;
     const SharedBytes value = storage_.get(key);
     if (value == nullptr) continue;
 
-    NodeId target = result.node;
+    ChordNode* t = result.peer.node;
     for (std::size_t copy = 0; copy < replication_factor; ++copy) {
-      ChordNode* t = network_.live_node(target);
-      if (t == nullptr) break;
+      if (!t->alive()) break;
       if (t != this && !t->storage().contains(key)) {
         t->store_local(key, value);  // shares the buffer
       }
-      target = t->successor();
-      if (target == t->id()) break;  // ring collapsed to one node
+      ChordNode* next = t->successor_peer().node;
+      if (next == t) break;  // ring collapsed to one node
+      t = next;
     }
   }
 }
 
-LookupResult ChordNode::find_successor(const NodeId& key) const {
-  LookupResult result;
+ChordLookup ChordNode::find_successor(const NodeId& key) const {
   const ChordNode* current = this;
   // A correct lookup takes O(log n) hops; the cap catches routing loops in
   // heavily churned rings.
   const int max_hops = static_cast<int>(kIdBits) + 16;
   for (int hop = 0; hop < max_hops; ++hop) {
-    const NodeId succ = current->successor();
-    if (succ == current->id() ||
-        in_half_open_interval(key, current->id(), succ)) {
-      result.node = succ;
-      result.hops = hop;
-      return result;
+    const PeerRef& succ = current->successor_peer();
+    if (succ.node == current ||
+        in_half_open_interval(key, current->id(), succ.id)) {
+      return ChordLookup{succ, hop, true};
     }
-    const NodeId next = current->closest_preceding_node(key);
-    if (next == current->id()) {
-      // No finger advances us: fall through to the successor.
-      const ChordNode* succ_node = network_.node(succ);
-      if (succ_node == nullptr || !succ_node->alive()) break;
-      current = succ_node;
-      continue;
-    }
-    const ChordNode* next_node = network_.node(next);
-    if (next_node == nullptr || !next_node->alive()) break;
-    current = next_node;
+    const ChordNode* next = current->closest_preceding_node(key);
+    // When no finger advances us, fall through to the (live) successor.
+    current = next == current ? succ.node : next;
   }
-  result.ok = false;
-  result.node = id_;
-  return result;
+  return ChordLookup{self_, 0, false};
 }
 
-NodeId ChordNode::closest_preceding_node(const NodeId& key) const {
-  // Scan fingers from farthest to nearest for a live node in (id_, key).
+const ChordNode* ChordNode::closest_preceding_node(const NodeId& key) const {
+  // Scan fingers from farthest to nearest for a live node in (id, key).
   // The run-compressed table visits each distinct finger once (highest
   // power first), which is exactly what the dense per-power scan reduced
   // to: whether a finger qualifies does not depend on the power.
   const std::vector<FingerTable::Run>& runs = fingers_.runs();
   for (std::size_t i = runs.size(); i-- > 0;) {
-    const NodeId& f = runs[i].id;
-    if (!in_open_interval(f, id_, key)) continue;
-    const ChordNode* n = network_.node(f);
-    if (n != nullptr && n->alive()) return f;
+    const FingerTable::Run& f = runs[i];
+    if (in_open_interval(f.id, id(), key) && f.node->alive()) return f.node;
   }
   // Successor list can still make progress when fingers are stale.
   for (std::size_t i = successors_.size(); i-- > 0;) {
-    const NodeId& s = successors_[i];
-    if (!in_open_interval(s, id_, key)) continue;
-    const ChordNode* n = network_.node(s);
-    if (n != nullptr && n->alive()) return s;
+    const PeerRef& s = successors_[i];
+    if (in_open_interval(s.id, id(), key) && s.node->alive()) return s.node;
   }
-  return id_;
+  return this;
 }
 
 void ChordNode::store_local(const NodeId& key, SharedBytes value) {
@@ -244,13 +219,13 @@ void ChordNode::store_local(const NodeId& key, SharedBytes value) {
   require(value != nullptr, "ChordNode::store_local: null value");
   storage_.put(key, value, network_.simulator().now());
   if (network_.store_observer()) {
-    network_.store_observer()(id_, key, BytesView(*value));
+    network_.store_observer()(id(), key, BytesView(*value));
   }
 }
 
-void ChordNode::set_successor_list(std::vector<NodeId> successors) {
+void ChordNode::set_successor_list(std::vector<PeerRef> successors) {
   successors_ = std::move(successors);
-  if (successors_.empty()) successors_.push_back(id_);
+  if (successors_.empty()) successors_.push_back(self_);
 }
 
 }  // namespace emergence::dht

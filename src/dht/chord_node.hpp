@@ -7,6 +7,11 @@
 // a node and its successor. Maintenance (stabilize / fix-fingers /
 // check-predecessor / replica repair) runs as periodic simulator events
 // scheduled by ChordNetwork.
+//
+// Every peer reference (successor list, predecessor, finger runs) is a
+// PeerRef: the id, which interval tests read inline, and the peer's arena
+// handle, which routing and maintenance follow. No step of a lookup or of
+// maintenance hashes a NodeId; only join resolves its bootstrap id.
 #pragma once
 
 #include <functional>
@@ -22,20 +27,43 @@ namespace emergence::dht {
 
 class ChordNetwork;
 
+/// Outcome of ChordNode::find_successor: the responsible peer, handle
+/// included, so callers act on it without resolving its id.
+struct ChordLookup {
+  PeerRef peer;    ///< responsible node (the origin itself when !ok)
+  int hops = 0;    ///< routing hops taken
+  bool ok = true;  ///< false when routing failed
+
+  LookupResult result() const { return LookupResult{peer.id, hops, ok}; }
+};
+
 /// A single DHT participant.
 class ChordNode {
  public:
   ChordNode(ChordNetwork& network, NodeId id, std::size_t successor_list_size);
+  // Peers hold this node's address, so it never moves or copies.
+  ChordNode(const ChordNode&) = delete;
+  ChordNode& operator=(const ChordNode&) = delete;
 
-  const NodeId& id() const { return id_; }
+  const NodeId& id() const { return self_.id; }
+  /// This node as its peers reference it.
+  const PeerRef& self() const { return self_; }
   bool alive() const { return alive_; }
+  ChordNetwork& network() const { return network_; }
 
   // -- ring pointers ---------------------------------------------------------
 
   /// First live successor (self when the node is alone).
-  NodeId successor() const;
-  const std::vector<NodeId>& successor_list() const { return successors_; }
-  std::optional<NodeId> predecessor() const { return predecessor_; }
+  const PeerRef& successor_peer() const;
+  NodeId successor() const { return successor_peer().id; }
+  const std::vector<PeerRef>& successor_list() const { return successors_; }
+  std::optional<NodeId> predecessor() const {
+    if (!predecessor_.has_value()) return std::nullopt;
+    return predecessor_->id;
+  }
+  const std::optional<PeerRef>& predecessor_peer() const {
+    return predecessor_;
+  }
 
   /// True when this node is responsible for `key`
   /// (key in (predecessor, self]).
@@ -69,7 +97,7 @@ class ChordNode {
   void stabilize();
 
   /// Remote call: `candidate` believes it may be our predecessor.
-  void notify(const NodeId& candidate);
+  void notify(const PeerRef& candidate);
 
   /// Periodic: refreshes one finger per call, round-robin.
   void fix_fingers();
@@ -85,10 +113,11 @@ class ChordNode {
   void replica_maintenance(std::size_t replication_factor);
 
   /// Iterative lookup starting at this node.
-  LookupResult find_successor(const NodeId& key) const;
+  ChordLookup find_successor(const NodeId& key) const;
 
-  /// Closest finger/successor strictly between this node and `key`.
-  NodeId closest_preceding_node(const NodeId& key) const;
+  /// Closest live finger/successor strictly between this node and `key`
+  /// (this node when none is).
+  const ChordNode* closest_preceding_node(const NodeId& key) const;
 
   // -- storage ---------------------------------------------------------------
 
@@ -104,9 +133,9 @@ class ChordNode {
 
   // -- internals exposed for ChordNetwork / tests ----------------------------
 
-  void set_successor_list(std::vector<NodeId> successors);
-  void set_predecessor(std::optional<NodeId> pred) { predecessor_ = pred; }
-  void set_finger(std::size_t i, const NodeId& id) { fingers_.set(i, id); }
+  void set_successor_list(std::vector<PeerRef> successors);
+  void set_predecessor(std::optional<PeerRef> pred) { predecessor_ = pred; }
+  void set_finger(std::size_t i, const PeerRef& peer) { fingers_.set(i, peer); }
   std::optional<NodeId> finger(std::size_t i) const { return fingers_.get(i); }
   FingerTable& finger_table() { return fingers_; }
   const FingerTable& finger_table() const { return fingers_; }
@@ -116,17 +145,18 @@ class ChordNode {
   void prune_dead_successors();
 
   ChordNetwork& network_;
-  NodeId id_;
-  bool alive_ = true;
+  PeerRef self_;
 
-  std::optional<NodeId> predecessor_;
-  std::vector<NodeId> successors_;  // ordered, nearest first
+  std::optional<PeerRef> predecessor_;
+  std::vector<PeerRef> successors_;  // ordered, nearest first
   std::size_t successor_list_size_;
   FingerTable fingers_;  // run-compressed: ~log2(n) entries, not kIdBits
-  std::size_t next_finger_ = 0;
   std::uint64_t incarnation_ = 0;
 
   Storage storage_;
+  // The small fields share one word at the end of the node.
+  std::uint8_t next_finger_ = 0;  // < kIdBits
+  bool alive_ = true;
 };
 
 }  // namespace emergence::dht

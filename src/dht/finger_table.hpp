@@ -7,8 +7,9 @@
 // node (the dominant memory term of a 100k-node world) and made
 // closest_preceding_node scan 160 slots per routing hop. This table stores
 // maximal runs of consecutive powers that share a finger instead: ~log2(n)
-// runs of ~22 bytes, O(#runs) per hop, and bulk construction during
-// bootstrap appends runs directly.
+// runs of 32 bytes (the id inline for interval tests, plus the peer's
+// handle), O(#runs) per hop, and bulk construction during bootstrap builds
+// each table at exact capacity.
 //
 // set() keeps exact per-power semantics (fix_fingers updates one power at a
 // time), splitting and re-merging runs as needed; powers not covered by any
@@ -23,26 +24,47 @@
 
 namespace emergence::dht {
 
-/// Compressed map from finger power (0..kIdBits-1) to ring id.
+class ChordNode;
+
+/// A reference to a Chord peer: its ring id, inline so that interval tests
+/// never dereference, and its arena handle, which routing and maintenance
+/// follow instead of hashing the id. A network's nodes never move and a
+/// rejoining id reuses its slot, so `node` always equals
+/// `ChordNetwork::node(id)`.
+struct PeerRef {
+  NodeId id;
+  ChordNode* node = nullptr;
+};
+
+/// Compressed map from finger power (0..kIdBits-1) to peer.
 class FingerTable {
  public:
-  /// One maximal run: powers lo..hi (inclusive) all point at `id`.
+  /// One maximal run: powers lo..hi (inclusive) all point at peer
+  /// (`id`, `node`). Flat rather than a PeerRef member: 32 bytes, not 40.
   struct Run {
     std::uint8_t lo = 0;
     std::uint8_t hi = 0;
     NodeId id;
+    ChordNode* node = nullptr;
   };
 
-  /// The finger for `power`, nullopt when unset.
+  /// The finger id for `power`, nullopt when unset.
   std::optional<NodeId> get(std::size_t power) const;
 
-  /// Points `power` at `id`, splitting/merging runs as needed.
-  void set(std::size_t power, const NodeId& id);
+  /// Points `power` at `peer`, splitting/merging runs as needed.
+  void set(std::size_t power, const PeerRef& peer);
 
-  /// Bulk build: appends the run [lo, hi] -> id. Runs must arrive in
+  /// Bulk build: appends the run [lo, hi] -> peer. Runs must arrive in
   /// ascending, non-overlapping power order (the bootstrap construction
-  /// emits them that way); adjacent equal-id runs are coalesced.
-  void append_run(std::size_t lo, std::size_t hi, const NodeId& id);
+  /// emits them that way); adjacent equal-peer runs are coalesced.
+  void append_run(std::size_t lo, std::size_t hi, const PeerRef& peer);
+
+  /// Replaces the runs with a copy of `other`'s held in an allocation of
+  /// exactly their count. Bootstrap builds every table this way: growth by
+  /// doubling would leave ~60% more slots than runs in a 100k-node world.
+  void assign_compact(const FingerTable& other) {
+    runs_ = std::vector<Run>(other.runs_.begin(), other.runs_.end());
+  }
 
   void clear() { runs_.clear(); }
   std::size_t run_count() const { return runs_.size(); }
@@ -54,8 +76,13 @@ class FingerTable {
  private:
   /// Index of the first run with hi >= power (== runs_.size() when none).
   std::size_t first_run_reaching(std::size_t power) const;
-  /// Coalesces runs_[i] with its neighbors where ranges touch and ids match.
+  /// Coalesces runs_[i] with its neighbors where ranges touch and peers
+  /// match.
   void merge_around(std::size_t i);
+  /// Grows capacity to exactly size() + extra when short. Tables start at
+  /// exact capacity and change one power at a time, so doubling would give
+  /// a ~17-run table ~17 spare slots for its first split.
+  void reserve_exact(std::size_t extra);
 
   std::vector<Run> runs_;  // sorted by lo, pairwise disjoint
 };

@@ -1,9 +1,10 @@
 // Tests for the large-N machinery behind the perf suite: the sorted
 // live-ring index (vs brute-force oracles, under interleaved churn), the
 // run-compressed finger table (vs a dense reference model and the naive
-// per-power bootstrap construction), O(log n) lookup-hop growth on 1k vs
-// 10k rings, replica-repair timer cadence, and the zero-copy payload
-// guarantees of the SharedBytes refactor.
+// per-power bootstrap construction), the peer handles routing follows
+// (consistent with their ids under churn and across a same-id rejoin),
+// O(log n) lookup-hop growth on 1k vs 10k rings, replica-repair timer
+// cadence, and the zero-copy payload guarantees of the SharedBytes refactor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 
 #include "common/rng.hpp"
 #include "dht/chord_network.hpp"
+#include "dht/churn_driver.hpp"
 #include "dht/finger_table.hpp"
 #include "dht/kademlia.hpp"
 #include "dht/ring_index.hpp"
@@ -96,22 +98,35 @@ TEST(FingerTable, MatchesDenseReferenceUnderRandomSets) {
   Rng rng(7);
   FingerTable table;
   std::vector<std::optional<NodeId>> dense(kIdBits);
-  // Small id pool: forces long shared runs, splits and re-merges.
-  std::vector<NodeId> pool;
-  for (int i = 0; i < 5; ++i)
-    pool.push_back(NodeId::hash_of_text("finger-" + std::to_string(i)));
+  // Small id pool: forces long shared runs, splits and re-merges. Each id
+  // is a real node so that it carries its arena handle.
+  sim::Simulator sim;
+  Rng net_rng(8);
+  NetworkConfig config;
+  config.run_maintenance = false;
+  ChordNetwork net(sim, net_rng, config);
+  std::vector<PeerRef> pool;
+  for (int i = 0; i < 5; ++i) {
+    const NodeId id = net.add_node_with_id(
+        NodeId::hash_of_text("finger-" + std::to_string(i)));
+    pool.push_back(net.node(id)->self());
+  }
 
   for (int op = 0; op < 5000; ++op) {
     const std::size_t power = rng.index(kIdBits);
-    const NodeId& id = pool[rng.index(pool.size())];
-    table.set(power, id);
-    dense[power] = id;
+    const PeerRef& peer = pool[rng.index(pool.size())];
+    table.set(power, peer);
+    dense[power] = peer.id;
     if (op % 97 == 0) {
       for (std::size_t p = 0; p < kIdBits; ++p) {
         ASSERT_EQ(table.get(p), dense[p]) << "power " << p << " op " << op;
       }
-      // Compression invariant: adjacent runs never mergeable.
+      // Overwrites, splits and merges keep each run's handle with its id.
       const auto& runs = table.runs();
+      for (const FingerTable::Run& run : runs) {
+        ASSERT_EQ(run.node, net.node(run.id)) << "op " << op;
+      }
+      // Compression invariant: adjacent runs never mergeable.
       for (std::size_t i = 0; i + 1 < runs.size(); ++i) {
         ASSERT_LT(static_cast<int>(runs[i].hi), static_cast<int>(runs[i + 1].lo));
         if (runs[i].hi + 1 == runs[i + 1].lo) {
@@ -161,6 +176,84 @@ TEST(ChordBootstrap, FingerRunsMatchNaivePerPowerConstruction) {
       }
     }
   }
+}
+
+// -- peer handles: each one is the arena slot of the id stored beside it -------
+
+void expect_handles_match_ids(ChordNetwork& net, const char* stage) {
+  for (const NodeId& id : net.alive_ids()) {
+    const ChordNode* n = net.node(id);
+    ASSERT_EQ(n->self().node, n) << stage;
+    for (const PeerRef& s : n->successor_list()) {
+      ASSERT_EQ(s.node, net.node(s.id))
+          << stage << ": successor of " << id.short_hex();
+    }
+    const std::optional<PeerRef>& pred = n->predecessor_peer();
+    if (pred.has_value()) {
+      ASSERT_EQ(pred->node, net.node(pred->id))
+          << stage << ": predecessor of " << id.short_hex();
+    }
+    for (const FingerTable::Run& run : n->finger_table().runs()) {
+      ASSERT_EQ(run.node, net.node(run.id))
+          << stage << ": finger of " << id.short_hex() << " at powers "
+          << int(run.lo) << ".." << int(run.hi);
+    }
+  }
+}
+
+TEST(ChordHandles, MatchIdsUnderChurnAndSurviveRejoin) {
+  sim::Simulator sim;
+  Rng rng(31);
+  NetworkConfig config;
+  config.stabilize_interval = 10.0;
+  config.replica_repair_interval = 40.0;
+  config.exact_join_fingers = false;  // joiners copy a neighbour's handles
+  ChordNetwork net(sim, rng, config);
+  net.bootstrap(128);
+  ASSERT_NO_FATAL_FAILURE(expect_handles_match_ids(net, "bootstrap"));
+
+  // A few hundred deaths, each replaced by a fresh join. Lifetimes stay
+  // long against the stabilize interval, so the ring keeps up.
+  ChurnConfig deaths;
+  deaths.mean_lifetime = 2000.0;
+  ChurnDriver churn(net, deaths);
+  churn.start();
+  sim.run_until(5000.0);
+  churn.stop();
+  EXPECT_GE(churn.deaths(), 250u);
+  ASSERT_NO_FATAL_FAILURE(expect_handles_match_ids(net, "churn"));
+
+  net.run_maintenance_round();
+  ASSERT_NO_FATAL_FAILURE(expect_handles_match_ids(net, "maintenance"));
+
+  // Kill and rejoin one id before any stabilize runs: the rejoin reuses
+  // the same object, so every handle peers still hold is valid again.
+  const NodeId victim = net.alive_ids()[17];
+  const ChordNode* before = net.node(victim);
+  net.kill_node(victim);
+  EXPECT_FALSE(before->alive());
+  net.add_node_with_id(victim);
+  EXPECT_EQ(net.node(victim), before);
+  EXPECT_TRUE(before->alive());
+  const LookupResult found = net.lookup(victim);
+  ASSERT_TRUE(found.ok);
+  EXPECT_EQ(found.node, victim);
+  ASSERT_NO_FATAL_FAILURE(expect_handles_match_ids(net, "rejoin"));
+
+  // Transient outages: every rejoin reuses its slot while peers still
+  // reference it. Only the handles are checked here: a rejoin's join
+  // lookup can currently return the joiner itself, and rings under
+  // transient churn lose successor consistency.
+  ChurnConfig outages;
+  outages.mean_lifetime = 2000.0;
+  outages.transient_fraction = 1.0;
+  outages.mean_downtime = 30.0;
+  ChurnDriver transients(net, outages);
+  transients.start();
+  sim.run_until(6000.0);
+  transients.stop();
+  EXPECT_GE(transients.transient_outages(), 30u);
+  ASSERT_NO_FATAL_FAILURE(expect_handles_match_ids(net, "transients"));
 }
 
 // -- O(log n) lookup-hop growth ------------------------------------------------
