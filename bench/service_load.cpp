@@ -26,9 +26,10 @@
 //   --matrix                         run every named scenario
 //   --population=N --sessions=N --worlds=N --seed=N   scale overrides
 //   --threads=N                      sweep pool size (never changes tallies)
-//   --domains=N                      within-world parallel domains (0 =
-//                                    legacy serial loop; >= 1 = the windowed
-//                                    domain executor, see sim/domain_executor)
+//   --domains=N                      within-world parallel domains (>= 1;
+//                                    the windowed domain executor, see
+//                                    sim/domain_executor; never changes
+//                                    tallies)
 //   --domains-compare=A,B,...        run each scenario once per listed domain
 //                                    count and gate bit-identical tally AND
 //                                    transport fingerprints across all of
@@ -80,8 +81,7 @@ struct Options {
   std::size_t population = 0;  // 0 = scenario default
   std::size_t sessions = 0;
   std::size_t worlds = 0;
-  std::size_t domains = 0;
-  bool domains_set = false;
+  std::optional<std::size_t> domains;  // unset = scenario default
   std::vector<std::size_t> domains_compare;  // empty = no compare mode
   double min_speedup = 0.0;                  // 0 = record only
   std::uint64_t seed = 0;
@@ -109,10 +109,9 @@ void add_load_options(OptionTable& table, Options& o) {
   table.add_size("sessions", "override the session budget", &o.sessions);
   table.add_size("worlds", "override the world count", &o.worlds);
   table.add("domains", "N",
-            "within-world parallel domains (0 = legacy serial loop)",
+            "within-world parallel domains (>= 1; never changes tallies)",
             [&o](const std::string& v) {
               o.domains = parse_size_option("domains", v);
-              o.domains_set = true;
             });
   table.add("domains-compare", "A,B,...",
             "run per listed domain count and gate bit-identical fingerprints",
@@ -151,7 +150,7 @@ void apply_scale(ScenarioSpec& spec, const Options& o) {
   if (o.population > 0) spec.population = o.population;
   if (o.sessions > 0) spec.sessions = o.sessions;
   if (o.worlds > 0) spec.worlds = o.worlds;
-  if (o.domains_set) spec.domains = o.domains;
+  if (o.domains.has_value()) spec.domains = *o.domains;
   if (o.seed_set) spec.seed = o.seed;
   spec.validate();
 }

@@ -37,10 +37,8 @@ ChordNetwork::ChordNetwork(sim::Simulator& simulator, Rng& rng,
                            NetworkConfig config)
     : simulator_(simulator),
       rng_(rng),
-      config_(config),
-      transport_(config_.transport.resolved(config_.min_message_latency,
-                                            config_.max_message_latency)) {
-  transport_.validate();
+      config_(config) {
+  config_.transport.validate();
 }
 
 NodeId ChordNetwork::fresh_node_id() {
@@ -76,7 +74,7 @@ void ChordNetwork::register_alive(ChordNode& node) {
   live_ring_.insert(id);
   // Every node's zone is primed from serial code (bootstrap / churn joins),
   // so zone_of stays a pure read when domains sample latencies in parallel.
-  transport_.prime_zone(id);
+  config_.transport.prime_zone(id);
 }
 
 void ChordNetwork::unregister_alive(const ChordNode& node) {
@@ -278,9 +276,9 @@ ChordNode* ChordNetwork::live_node(const NodeId& id) {
 
 ChordNode& ChordNetwork::random_live_node() {
   require(!alive_ids_.empty(), "ChordNetwork: no live nodes");
-  // In-window lookups draw the entry pick from the executing session's own
-  // stream (domain-count invariant); barrier/serial code keeps the shared
-  // network stream, preserving the legacy draw sequence bit-for-bit.
+  // Session lookups draw the entry pick from the executing session's own
+  // stream (domain-count invariant); code outside any execution context
+  // (maintenance, churn, a bare network) keeps the shared network stream.
   auto* ctx = sim::ExecutionContext::active_on(&simulator_);
   Rng& rng = (ctx != nullptr && ctx->rng != nullptr) ? *ctx->rng : rng_;
   return *alive_nodes_[rng.index(alive_nodes_.size())];
@@ -413,7 +411,7 @@ void ChordNetwork::send_message(const NodeId& from, const NodeId& to,
           : transport_stats_;
   obs::TraceShard* trace =
       (ctx != nullptr && ctx->trace != nullptr) ? ctx->trace : trace_shard_;
-  transport_.send(
+  config_.transport.send(
       simulator_, rng, stats, from, to,
       [this, from, to, payload = std::move(payload)]() {
         if (live_node(to) == nullptr) return;  // dead destination: lost
@@ -435,7 +433,7 @@ void ChordNetwork::send_message_routed(const NodeId& from,
           : transport_stats_;
   obs::TraceShard* trace =
       (ctx != nullptr && ctx->trace != nullptr) ? ctx->trace : trace_shard_;
-  transport_.send(
+  config_.transport.send(
       simulator_, rng, stats, from, ring_point,
       [this, from, ring_point, payload = std::move(payload)]() {
         const ChordLookup found = route(ring_point);

@@ -39,12 +39,8 @@ struct NetworkConfig {
   std::size_t replication_factor = 3;
   double stabilize_interval = 30.0;          ///< seconds of virtual time
   double replica_repair_interval = 120.0;    ///< seconds of virtual time
-  double min_message_latency = 0.010;        ///< seconds
-  double max_message_latency = 0.100;        ///< seconds
-  /// Message-level transport (latency law, loss, bounded retries). The
-  /// default ideal() resolves to the historical uniform draw over
-  /// [min_message_latency, max_message_latency]: bit-identical event
-  /// sequences at pinned seeds (tests/test_transport.cpp golden).
+  /// Message-level transport (latency law, loss, bounded retries); the
+  /// default is ideal(), uniform over [10 ms, 100 ms].
   TransportModel transport;
   bool run_maintenance = true;  ///< schedule periodic stabilization tasks
   /// When false, a joining node copies its successor's finger table instead
@@ -164,9 +160,11 @@ class ChordNetwork final : public Network {
   sim::Simulator& simulator() override { return simulator_; }
   Rng& rng() override { return rng_; }
   double max_message_latency() const override {
-    return transport_.max_single_latency();
+    return config_.transport.max_single_latency();
   }
-  const TransportModel& transport() const override { return transport_; }
+  const TransportModel& transport() const override {
+    return config_.transport;
+  }
   const TransportStats& transport_stats() const override {
     return transport_stats_;
   }
@@ -204,8 +202,6 @@ class ChordNetwork final : public Network {
   sim::Simulator& simulator_;
   Rng& rng_;
   NetworkConfig config_;
-  /// config_.transport resolved against the configured latency range.
-  TransportModel transport_;
   TransportStats transport_stats_;
   obs::TraceShard* trace_shard_ = nullptr;
 

@@ -26,6 +26,7 @@ bool ChordNode::responsible_for(const NodeId& key) const {
 }
 
 void ChordNode::create() {
+  alive_ = true;
   predecessor_.reset();
   successors_.clear();
   successors_.push_back(self_);
@@ -35,8 +36,11 @@ void ChordNode::join(const NodeId& bootstrap) {
   ChordNode* entry = network_.live_node(bootstrap);
   require(entry != nullptr, "ChordNode::join: bootstrap node is dead");
   predecessor_.reset();
+  // A rejoining slot stays dead until here, so peers that still list it
+  // route this lookup around it instead of back to the joiner.
   const ChordLookup result = entry->find_successor(id());
   require(result.ok, "ChordNode::join: lookup failed");
+  alive_ = true;
   successors_.clear();
   successors_.push_back(result.peer);
 
@@ -75,7 +79,6 @@ void ChordNode::fail() {
 }
 
 void ChordNode::reset_for_rejoin() {
-  alive_ = true;
   predecessor_.reset();
   successors_.clear();
   fingers_.clear();

@@ -84,7 +84,8 @@ class ChordNode {
   void fail();
 
   /// Restores freshly-constructed state so a dead instance can serve a
-  /// rejoin of the same id (arena slots are reused, never destroyed).
+  /// rejoin of the same id (arena slots are reused, never destroyed). The
+  /// node stays dead until create() or join() brings it up.
   void reset_for_rejoin();
 
   /// Bumped by every reset_for_rejoin. Maintenance timers capture it at

@@ -75,10 +75,8 @@ KademliaNetwork::KademliaNetwork(sim::Simulator& simulator, Rng& rng,
                                  KademliaConfig config)
     : simulator_(simulator),
       rng_(rng),
-      config_(config),
-      transport_(config_.transport.resolved(config_.min_message_latency,
-                                            config_.max_message_latency)) {
-  transport_.validate();
+      config_(config) {
+  config_.transport.validate();
 }
 
 NodeId KademliaNetwork::fresh_node_id() {
@@ -108,7 +106,7 @@ void KademliaNetwork::register_alive(const NodeId& id) {
   live_ring_.insert(id);
   // Every node's zone is primed from serial code (bootstrap / churn joins),
   // so zone_of stays a pure read when domains sample latencies in parallel.
-  transport_.prime_zone(id);
+  config_.transport.prime_zone(id);
 }
 
 void KademliaNetwork::unregister_alive(const NodeId& id) {
@@ -253,9 +251,9 @@ LookupResult KademliaNetwork::iterative_find(const NodeId& key) {
     result.ok = false;
     return result;
   }
-  // In-window lookups draw the entry pick from the executing session's own
-  // stream (domain-count invariant); barrier/serial code keeps the shared
-  // network stream, preserving the legacy draw sequence bit-for-bit.
+  // Session lookups draw the entry pick from the executing session's own
+  // stream (domain-count invariant); code outside any execution context
+  // (maintenance, churn, a bare network) keeps the shared network stream.
   auto* ctx = sim::ExecutionContext::active_on(&simulator_);
   Rng& rng = (ctx != nullptr && ctx->rng != nullptr) ? *ctx->rng : rng_;
   KademliaNode& origin =
@@ -266,10 +264,11 @@ LookupResult KademliaNetwork::iterative_find(const NodeId& key) {
 LookupResult KademliaNetwork::iterative_find_from(KademliaNode& origin,
                                                   const NodeId& key) {
   LookupResult result;
-  // Executor windows run lookups READ-ONLY: the k-bucket adaptation a
-  // lookup normally performs (observe/drop contacts) would both race across
+  // Session lookups (setup and window events alike, anything under an
+  // execution context) run READ-ONLY: the k-bucket adaptation a lookup
+  // normally performs (observe/drop contacts) would both race across
   // parallel domains and make routing tables depend on the domain count.
-  // Barrier-time and legacy-serial lookups still adapt exactly as before.
+  // Maintenance and churn lookups run outside any context and still adapt.
   sim::ExecutionContext* ctx = sim::ExecutionContext::active_on(&simulator_);
   const bool read_only = ctx != nullptr;
   LookupStats& stats = (ctx != nullptr && ctx->lookup_stats != nullptr)
@@ -456,7 +455,7 @@ void KademliaNetwork::send_message(const NodeId& from, const NodeId& to,
           : transport_stats_;
   obs::TraceShard* trace =
       (ctx != nullptr && ctx->trace != nullptr) ? ctx->trace : trace_shard_;
-  transport_.send(
+  config_.transport.send(
       simulator_, rng, stats, from, to,
       [this, from, to, payload = std::move(payload)]() {
         deliver(from, to, *payload);
@@ -477,7 +476,7 @@ void KademliaNetwork::send_message_routed(const NodeId& from,
           : transport_stats_;
   obs::TraceShard* trace =
       (ctx != nullptr && ctx->trace != nullptr) ? ctx->trace : trace_shard_;
-  transport_.send(
+  config_.transport.send(
       simulator_, rng, stats, from, ring_point,
       [this, from, ring_point, payload = std::move(payload)]() {
         const LookupResult result = lookup(ring_point);

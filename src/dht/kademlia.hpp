@@ -39,10 +39,7 @@ struct KademliaConfig {
   std::size_t bucket_size = 20;       ///< Kademlia's k
   std::size_t lookup_parallelism = 3; ///< Kademlia's alpha (shortlist width)
   std::size_t replication_factor = 3;
-  double min_message_latency = 0.010;
-  double max_message_latency = 0.100;
-  /// Message-level transport (see chord_network.hpp NetworkConfig): the
-  /// default ideal() reproduces the historical uniform draw bit-for-bit.
+  /// Message-level transport (see chord_network.hpp NetworkConfig).
   TransportModel transport;
   double republish_interval = 120.0;  ///< replica repair period
   bool run_maintenance = true;
@@ -154,9 +151,11 @@ class KademliaNetwork final : public Network {
   sim::Simulator& simulator() override { return simulator_; }
   Rng& rng() override { return rng_; }
   double max_message_latency() const override {
-    return transport_.max_single_latency();
+    return config_.transport.max_single_latency();
   }
-  const TransportModel& transport() const override { return transport_; }
+  const TransportModel& transport() const override {
+    return config_.transport;
+  }
   const TransportStats& transport_stats() const override {
     return transport_stats_;
   }
@@ -194,8 +193,6 @@ class KademliaNetwork final : public Network {
   sim::Simulator& simulator_;
   Rng& rng_;
   KademliaConfig config_;
-  /// config_.transport resolved against the configured latency range.
-  TransportModel transport_;
   TransportStats transport_stats_;
   obs::TraceShard* trace_shard_ = nullptr;
   /// Node arena (stable addresses, no per-node allocation churn).

@@ -148,7 +148,7 @@ class Network {
   /// single-attempt bound L; the protocol's timing contract th > assembly +
   /// 4*L is stated against this, not the retry-inclusive worst case).
   virtual double max_message_latency() const = 0;
-  /// The resolved transport model every application message travels through.
+  /// The transport model every application message travels through.
   virtual const TransportModel& transport() const = 0;
   /// Exact counters of everything the transport did on this network.
   virtual const TransportStats& transport_stats() const = 0;

@@ -61,11 +61,8 @@ TransportModel TransportModel::wan() {
 }
 
 TransportModel TransportModel::lossy(double p) {
+  // The ideal() latency law, with loss + bounded retry layered on top.
   TransportModel t;
-  // The historical latency law, with loss + bounded retry layered on top.
-  t.kind = LatencyKind::kUniform;
-  t.min_latency = 0.010;
-  t.max_latency = 0.100;
   t.drop_probability = p;
   t.max_retries = 3;
   t.retry_timeout = 0.5;
@@ -194,6 +191,11 @@ TransportModel TransportModel::parse(const std::string& text) {
       start = semi + 1;
     }
   }
+  if (preset == "ideal") {
+    require(!t.can_drop() && t.max_retries == 0,
+            "TransportModel::parse: ideal admits no loss model in '" + text +
+                "'");
+  }
   t.validate();
   return t;
 }
@@ -201,9 +203,6 @@ TransportModel TransportModel::parse(const std::string& text) {
 std::string TransportModel::describe() const {
   std::string out;
   switch (kind) {
-    case LatencyKind::kIdeal:
-      out = "ideal";
-      break;
     case LatencyKind::kFixed:
       out = "fixed(" + std::to_string(max_latency) + "s)";
       break;
@@ -244,10 +243,6 @@ void TransportModel::validate() const {
   require(partition_end >= partition_start,
           "TransportModel: partition window end precedes start");
   switch (kind) {
-    case LatencyKind::kIdeal:
-      require(drop_probability == 0.0 && !has_partition() && max_retries == 0,
-              "TransportModel: ideal() admits no loss model");
-      break;
     case LatencyKind::kFixed:
       require(max_latency > 0.0, "TransportModel: fixed latency must be > 0");
       break;
@@ -271,20 +266,8 @@ void TransportModel::validate() const {
   }
 }
 
-TransportModel TransportModel::resolved(double cfg_min_latency,
-                                        double cfg_max_latency) const {
-  if (kind != LatencyKind::kIdeal) return *this;
-  TransportModel t = *this;
-  t.kind = LatencyKind::kUniform;
-  t.min_latency = cfg_min_latency;
-  t.max_latency = cfg_max_latency;
-  return t;
-}
-
 double TransportModel::max_single_latency() const {
   switch (kind) {
-    case LatencyKind::kIdeal:
-      return max_latency;  // resolved() replaces this before networks ask
     case LatencyKind::kFixed:
     case LatencyKind::kUniform:
       return max_latency;
@@ -298,9 +281,8 @@ double TransportModel::max_single_latency() const {
 
 double TransportModel::min_single_latency() const {
   switch (kind) {
-    case LatencyKind::kIdeal:
     case LatencyKind::kUniform:
-      return min_latency;  // resolved() gives kIdeal the historical floor
+      return min_latency;
     case LatencyKind::kFixed:
       return max_latency;  // the constant
     case LatencyKind::kLogNormal:
@@ -329,9 +311,8 @@ bool TransportModel::guarantees_exact_delivery(double holding_period,
 }
 
 double TransportModel::reap_slack(std::size_t path_length) const {
-  // Pure-latency transports keep the historical reap cadence: the session
-  // constructor precondition (th > assembly + 4L) already confines every
-  // event to tr, and ideal() reap times must stay bit-identical.
+  // Pure-latency transports need no slack: the session constructor
+  // precondition (th > assembly + 4L) already confines every event to tr.
   if (!can_drop() && max_retries == 0) return 0.0;
   // Worst per-hop lateness: a message retried to exhaustion arrives at most
   // retry_delay_sum + L after its deadline and is processed assembly later;
@@ -375,7 +356,6 @@ bool TransportModel::cross_zone(const NodeId& from, const NodeId& to) const {
 
 double TransportModel::sample_latency(Rng& rng, bool cross) const {
   switch (kind) {
-    case LatencyKind::kIdeal:
     case LatencyKind::kUniform:
       return min_latency + rng.real() * (max_latency - min_latency);
     case LatencyKind::kFixed:

@@ -8,10 +8,9 @@
 // need — fixed, uniform, LogNormal (heavy-tail stragglers) and geo-zoned
 // latency distributions, an iid drop probability, timeout + bounded-retry
 // with exponential backoff, and a deterministic partition-heal window —
-// while TransportModel::ideal() resolves to *exactly* the historical
-// uniform draw (one Rng::real() per message, one scheduled event, no drop
-// branch), so pinned-seed runs stay bit-for-bit identical to pre-transport
-// history (golden-fingerprint regression in tests/test_transport.cpp).
+// while the default-constructed model, TransportModel::ideal(), is the
+// plain uniform [10 ms, 100 ms] draw (one Rng::real() per message, one
+// scheduled event, no drop branch).
 //
 // Determinism contract: all randomness flows through the owning network's
 // Rng in send order; zone assignment is a pure function of
@@ -59,7 +58,6 @@ struct TransportStats {
 
 /// Per-link latency law.
 enum class LatencyKind : std::uint8_t {
-  kIdeal,      ///< placeholder: resolves to uniform over the network config
   kFixed,      ///< constant latency, no rng draw
   kUniform,    ///< uniform over [min_latency, max_latency], one draw
   kLogNormal,  ///< exp(N(log_mu, log_sigma)) truncated to cap, two draws
@@ -67,14 +65,15 @@ enum class LatencyKind : std::uint8_t {
 };
 
 /// The transport configuration + sampling/scheduling engine. A plain value
-/// type: NetworkConfig/KademliaConfig carry one, the network resolves it
-/// against its min/max latency at construction and owns the resolved copy.
+/// type: NetworkConfig/KademliaConfig carry one and the network owns a copy.
+/// Default-constructed, it is the ideal() law: uniform over [10 ms, 100 ms]
+/// with no loss, the latency every config uses unless told otherwise.
 struct TransportModel {
-  LatencyKind kind = LatencyKind::kIdeal;
+  LatencyKind kind = LatencyKind::kUniform;
 
   // -- latency (kFixed uses max_latency; kUniform draws over [min, max]) -------
-  double min_latency = 0.0;
-  double max_latency = 0.0;
+  double min_latency = 0.010;
+  double max_latency = 0.100;
   double log_mu = 0.0;     ///< kLogNormal: mean of the underlying normal
   double log_sigma = 0.0;  ///< kLogNormal: stddev of the underlying normal
   double cap = 0.0;        ///< kLogNormal: hard truncation (worst case)
@@ -99,6 +98,7 @@ struct TransportModel {
   double partition_end = 0.0;
 
   // -- presets (the scenario registry's net= axes) -----------------------------
+  /// The default-constructed model; parse() rejects a loss model on it.
   static TransportModel ideal();
   static TransportModel lan();
   static TransportModel wan();
@@ -120,10 +120,6 @@ struct TransportModel {
   /// Throws PreconditionError on inconsistent parameters.
   void validate() const;
 
-  /// kIdeal resolved against the owning network's configured latency range
-  /// (the historical uniform law); every other kind passes through.
-  TransportModel resolved(double cfg_min_latency, double cfg_max_latency) const;
-
   // -- derived bounds (the protocol timing contract reads these) ---------------
   /// Worst-case latency of one successful attempt (Network::
   /// max_message_latency; the session precondition th > assembly + 4*L).
@@ -131,9 +127,8 @@ struct TransportModel {
   /// Best-case latency of one successful attempt: the floor of the latency
   /// law. This is the domain executor's conservative lookahead — the
   /// soonest a message sent at a window barrier can become a domain event.
-  /// 0 for laws without a configured floor (the executor rejects that and
-  /// asks for an explicit epsilon; resolved ideal() has the historical
-  /// 10ms floor).
+  /// 0 for laws without a configured floor, which ScenarioSpec::validate
+  /// rejects (ideal() has a 10 ms floor).
   double min_single_latency() const;
   /// Sum of all retransmit delays: timeout * (1 + b + ... + b^(r-1)).
   double retry_delay_sum() const;
@@ -156,7 +151,7 @@ struct TransportModel {
   /// Extra grace a fleet reaper must add after tr before recycling a
   /// session slot: per-hop worst lateness (retry chain + latency + assembly)
   /// times the path length, plus the partition window. 0 for pure-latency
-  /// transports, so ideal() reap times stay bit-identical.
+  /// transports, whose session events all fire by tr.
   double reap_slack(std::size_t path_length) const;
 
   // -- zones -------------------------------------------------------------------
@@ -165,7 +160,7 @@ struct TransportModel {
   /// id is known, otherwise computes from scratch WITHOUT memoizing —
   /// zone_of is logically const and must stay safe to call concurrently
   /// from parallel domains (the old lazily-filled mutable cache was a data
-  /// race the moment two domains sampled latencies on one resolved model).
+  /// race the moment two domains sampled latencies on one network's model).
   std::size_t zone_of(const NodeId& id) const;
   bool cross_zone(const NodeId& from, const NodeId& to) const;
   /// Precomputes `id`'s zone into the cache. Networks prime every node at

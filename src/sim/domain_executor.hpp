@@ -1,5 +1,5 @@
-// Conservative-window parallel execution of ONE world: the PDES layer the
-// session fleet drives for `domains >= 1` scenarios.
+// Conservative-window parallel execution of ONE world: the PDES layer every
+// session fleet world runs on.
 //
 // Model (docs/architecture.md, "Parallel execution model"): the world's
 // shared state — DHT ring, node storage, dispatcher tables, churn,
@@ -25,9 +25,9 @@
 // ordering skew (a global event at t in [W, W_end) commits before window
 // events with timestamps < t run) below one message latency — far inside
 // the protocol's reap-grace separation, so a reap can never share a window
-// with its session's pending events. Ideal/zero-latency transports have no
-// such floor and must configure an explicit epsilon (the constructor
-// rejects lookahead <= 0).
+// with its session's pending events. A transport with no latency floor
+// admits no window: ScenarioSpec::validate rejects it, and the constructor
+// rejects lookahead <= 0.
 //
 // Determinism: the window partition depends only on the merged set of
 // pending event timestamps (invariant under partitioning), every window

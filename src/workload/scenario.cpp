@@ -31,12 +31,17 @@ void ScenarioSpec::validate() const {
   require(shape.k >= 1 && shape.l >= 1,
           "ScenarioSpec '" + name + "': degenerate path shape");
   // TimedReleaseSession's timing contract needs th > assembly_delay +
-  // 4 * max single-attempt message latency (1.0 + 4 * 0.1 at the default
-  // network config; slower transports raise the floor). The historical
+  // 4 * max single-attempt message latency (1.0 + 4 * 0.1 for the default
+  // ideal() transport; slower transports raise the floor). The historical
   // 1.5s minimum is kept as a floor so scenario validity never loosens.
-  const dht::TransportModel net = transport.resolved(0.010, 0.100);
-  net.validate();
-  const double min_th = std::max(1.5, 1.0 + 4.0 * net.max_single_latency());
+  transport.validate();
+  // The latency floor is the domain executor's lookahead: a world cannot
+  // run on a transport that can deliver a message in zero time.
+  require(transport.min_single_latency() > 0.0,
+          "ScenarioSpec '" + name +
+              "': transport needs a positive minimum message latency");
+  const double min_th =
+      std::max(1.5, 1.0 + 4.0 * transport.max_single_latency());
   require(holding_period() > min_th,
           "ScenarioSpec '" + name +
               "': holding period T/l too short for the network timing "
@@ -44,8 +49,8 @@ void ScenarioSpec::validate() const {
               " virtual seconds)");
   require(malicious_p >= 0.0 && malicious_p <= 1.0,
           "ScenarioSpec '" + name + "': p must lie in [0, 1]");
-  require(domains <= 1024,
-          "ScenarioSpec '" + name + "': domains capped at 1024");
+  require(domains >= 1 && domains <= 1024,
+          "ScenarioSpec '" + name + "': domains must lie in [1, 1024]");
   require(transient_fraction >= 0.0 && transient_fraction < 1.0,
           "ScenarioSpec '" + name + "': transient fraction must lie in [0, 1)");
   if (churn) {
@@ -298,8 +303,7 @@ OptionTable scenario_option_table(ScenarioSpec& spec) {
   table.add_size("sessions", "session budget across worlds", &spec.sessions);
   table.add_size("worlds", "independent worlds sharded over the pool",
                  &spec.worlds);
-  // 0 = legacy serial loop; >= 1 = the windowed domain executor.
-  table.add_size("domains", "parallel domains within each world (0 = serial)",
+  table.add_size("domains", "parallel domains within each world (>= 1)",
                  &spec.domains);
   table.add_u64("seed", "root seed (decimal or 0x hex)", &spec.seed);
   add_protocol_options(table, spec.scheme, spec.shape, spec.carriers_n,

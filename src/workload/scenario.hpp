@@ -64,9 +64,8 @@ struct ScenarioSpec {
   // -- transport ---------------------------------------------------------------
   /// Message-level transport every world's network runs on (latency law,
   /// iid loss, bounded retries, optional partition window). The default
-  /// ideal() resolves to the historical uniform[10ms, 100ms] draw and is
-  /// bit-identical to pre-transport tallies at pinned seeds; the net=
-  /// override selects lan / wan / lossy / straggler / partition-heal axes.
+  /// is ideal(), uniform over [10 ms, 100 ms]; the net= override selects
+  /// lan / wan / lossy / straggler / partition-heal axes.
   dht::TransportModel transport;
 
   // -- execution ---------------------------------------------------------------
@@ -75,15 +74,11 @@ struct ScenarioSpec {
   /// is bit-identical at any thread count. 1 = one big shared world (the
   /// acceptance configuration).
   std::size_t worlds = 1;
-  /// Parallel domains WITHIN each world. 0 (the default) runs the legacy
-  /// serial event loop, byte-for-byte identical to pre-executor history;
-  /// any value >= 1 drives the world through sim::DomainExecutor's
-  /// conservative windows (sessions partitioned by index % domains).
-  /// Executor tallies form their own fingerprint family — bit-identical
-  /// across ANY domains >= 1 and any worker count, but not comparable to
-  /// domains=0 (the executor's barrier-eager global ordering and per-
-  /// session rng streams are a deliberately different schedule).
-  std::size_t domains = 0;
+  /// Parallel domains WITHIN each world (>= 1): every world runs on
+  /// sim::DomainExecutor's conservative windows with its sessions
+  /// partitioned by index % domains. Tallies are bit-identical at any
+  /// domain count and any worker count; only wall time changes.
+  std::size_t domains = 1;
   std::uint64_t seed = 0x5EA51CE;
 
   double mean_lifetime() const { return emerging_time / churn_alpha; }
@@ -108,13 +103,13 @@ struct ScenarioSpec {
   /// cross-validation matrix switch from strict equality to the
   /// reap_slack lateness bound when this is false.
   bool exact_delivery() const {
-    return transport.resolved(0.010, 0.100)
-        .guarantees_exact_delivery(holding_period(), 1.0);
+    return transport.guarantees_exact_delivery(holding_period(), 1.0);
   }
 
   /// Throws PreconditionError with a field-naming message on any invalid
-  /// combination (zero population/sessions, p outside [0,1], alpha <= 0,
-  /// share-threshold violations, th too short for the network, ...).
+  /// combination (zero population/sessions/domains, p outside [0,1],
+  /// alpha <= 0, share-threshold violations, th too short for the network,
+  /// a transport with no latency floor for the executor's lookahead, ...).
   void validate() const;
 };
 

@@ -172,12 +172,10 @@ struct Slot {
   std::uint64_t index = 0;  ///< global session index in this world
   double send_time = 0.0;
   double release_time = 0.0;
-  /// Executor mode: the session's private draw stream (transport samples,
-  /// lookup entry picks) and its domain assignment (index % domains). The
-  /// stream must live in the slot — transport retry closures capture a
+  /// The session's private draw stream (transport samples, lookup entry
+  /// picks). It must live in the slot — transport retry closures capture a
   /// reference to it across windows.
   Rng rng{0};
-  std::size_t domain = 0;
 };
 
 }  // namespace
@@ -232,9 +230,9 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
   cloud::CloudStore cloud;
   core::SessionDispatcher dispatcher(*net);
 
-  // Serial trace shard: barrier-phase network traffic (maintenance, churn,
-  // legacy-mode sessions) plus the lifecycle spans the reaper emits. Null
-  // leaves tracing entirely off — no recording, no sampling.
+  // Serial trace shard: barrier-phase network traffic (maintenance, churn)
+  // plus the lifecycle spans the reaper emits. Null leaves tracing entirely
+  // off — no recording, no sampling.
   obs::TraceShard* serial_trace = nullptr;
   if (tracer_ != nullptr) {
     serial_trace = tracer_->new_shard();
@@ -242,31 +240,25 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
     if (kademlia) kademlia->set_trace_shard(serial_trace);
   }
 
-  // -- executor mode (spec.domains >= 1): conservative-window parallel
-  // execution of this one world. The lookahead is the transport's
-  // single-attempt latency floor (min_single_latency; the constructor
-  // rejects 0 and asks for an explicit epsilon), clamped strictly below
+  // Conservative-window execution of this one world. The lookahead is the
+  // transport's single-attempt latency floor (min_single_latency, which
+  // ScenarioSpec::validate requires to be positive), clamped strictly below
   // kReapGrace so a reap — a barrier-eager global event — can never share
   // a window with its session's still-pending domain events (slot
   // recycling safety; see sim/domain_executor.hpp).
-  std::optional<sim::DomainExecutor> exec;
-  std::vector<dht::TransportStats> domain_tstats;
-  std::vector<dht::LookupStats> domain_lstats;
+  sim::DomainExecutor exec(
+      sim, s.domains,
+      std::min(net->transport().min_single_latency(), kReapGrace / 2.0));
+  std::vector<dht::TransportStats> domain_tstats(s.domains);
+  std::vector<dht::LookupStats> domain_lstats(s.domains);
   std::vector<obs::TraceShard*> domain_traces;
-  if (s.domains >= 1) {
-    const double lookahead =
-        std::min(net->transport().min_single_latency(), kReapGrace / 2.0);
-    exec.emplace(sim, s.domains, lookahead);
-    domain_tstats.resize(s.domains);
-    domain_lstats.resize(s.domains);
-    if (tracer_ != nullptr) {
-      // One single-writer shard per domain, same idiom as the stats shards.
-      // Exports content-sort the merged multiset, so the trace bytes are
-      // invariant across domain counts just like the merged stats.
-      domain_traces.resize(s.domains);
-      for (std::size_t d = 0; d < s.domains; ++d) {
-        domain_traces[d] = tracer_->new_shard();
-      }
+  if (tracer_ != nullptr) {
+    // One single-writer shard per domain, same idiom as the stats shards.
+    // Exports content-sort the merged multiset, so the trace bytes are
+    // invariant across domain counts just like the merged stats.
+    domain_traces.resize(s.domains);
+    for (std::size_t d = 0; d < s.domains; ++d) {
+      domain_traces[d] = tracer_->new_shard();
     }
   }
 
@@ -451,30 +443,25 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
     }
 
     {
-      // Executor mode: the whole setup runs under the session's execution
-      // context, so every simulator event it schedules (package deliveries,
+      // The whole setup runs under the session's execution context, so
+      // every simulator event it schedules (package deliveries,
       // retransmits, assembly, forwards, probes) lands in the session's
       // domain queue, every transport/lookup draw comes from the session's
       // private stream, and stats accumulate into per-domain shards. Setup
       // itself fires at the serial barrier, so its shared-state writes
       // (store_on, dispatcher registration, cloud upload) are race-free.
-      // Legacy mode (no executor) leaves the scope disengaged: identical
-      // statements, identical draws, identical event ids.
-      std::optional<sim::ExecutionContext::Scope> scope;
-      if (exec.has_value()) {
-        slot.domain =
-            static_cast<std::size_t>(slot.index) % exec->domain_count();
-        slot.rng = root.fork(16 + slot.index).fork(1);
-        sim::ExecutionContext ctx;
-        ctx.world = &sim;
-        ctx.domain = &exec->domain(slot.domain);
-        ctx.clock = &sim;
-        ctx.rng = &slot.rng;
-        ctx.transport_stats = &domain_tstats[slot.domain];
-        ctx.lookup_stats = &domain_lstats[slot.domain];
-        if (!domain_traces.empty()) ctx.trace = domain_traces[slot.domain];
-        scope.emplace(ctx);
-      }
+      const std::size_t domain =
+          static_cast<std::size_t>(slot.index) % s.domains;
+      slot.rng = root.fork(16 + slot.index).fork(1);
+      sim::ExecutionContext ctx;
+      ctx.world = &sim;
+      ctx.domain = &exec.domain(domain);
+      ctx.clock = &sim;
+      ctx.rng = &slot.rng;
+      ctx.transport_stats = &domain_tstats[domain];
+      ctx.lookup_stats = &domain_lstats[domain];
+      if (!domain_traces.empty()) ctx.trace = domain_traces[domain];
+      const sim::ExecutionContext::Scope scope(ctx);
       slot.session.emplace(core::SessionArgs{
           net, &cloud, adversary, config,
           root.fork(16 + slot.index).seed(), &dispatcher});
@@ -489,9 +476,8 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
         // possession time to within probe_offset, far below the th/2 the
         // margin rounding tolerates. Probes fire before tr, the reaper
         // after tr + grace, so the adversary pointer outlives every probe.
-        // Under a context the probes are session events (domain queue) —
-        // they read/mutate only this session's adversary plus the frozen
-        // coalition set.
+        // The probes are session events (domain queue) — they read/mutate
+        // only this session's adversary plus the frozen coalition set.
         const double probe_offset = std::min(0.5, th / 4.0);
         for (std::size_t c = 1; c <= shape.l; ++c) {
           sim.schedule_at(
@@ -500,9 +486,9 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
         }
       }
     }
-    // The reap stays a GLOBAL event in both modes: it mutates shared state
-    // (network erase, dispatcher deregistration, slot recycling) and so
-    // belongs to the serial barrier.
+    // The reap is a GLOBAL event: it mutates shared state (network erase,
+    // dispatcher deregistration, slot recycling) and so belongs to the
+    // serial barrier.
     sim.schedule_at(slot.release_time + kReapGrace + reap_slack,
                     [&reap, slot_index]() { reap(slot_index); });
   };
@@ -517,64 +503,41 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
   };
   sim.schedule_at(arrivals->next_after(0.0, arrival_rng), arrive);
 
-  constexpr double kChunk = 120.0;
-  if (exec.has_value()) {
-    // Window-barrier drive: rounds until the budget is reaped (reaps are
-    // barrier events, so the predicate — checked between rounds — observes
-    // them race-free). Progress heartbeats are throttled to the serial
-    // drive's virtual-time chunk.
-    double next_report = kChunk;
-    const bool stopped = exec->run([&]() {
-      if (progress && sim.raw_now() >= next_report) {
-        progress(sim.raw_now(), reaped, started);
-        next_report = sim.raw_now() + kChunk;
-      }
-      return reaped >= static_cast<std::uint64_t>(budget);
-    });
-    if (!stopped) {
-      throw ProtocolError(
-          "SessionFleet: event queues drained before the session budget "
-          "completed (scenario '" + s.name + "')");
+  // Window-barrier drive: rounds until the budget is reaped. Reaps are
+  // barrier events, so the predicate — checked between rounds — observes
+  // them race-free, and the world stops at its last reap. Progress
+  // heartbeats are throttled to one per kProgressInterval of virtual time.
+  constexpr double kProgressInterval = 120.0;
+  double next_report = kProgressInterval;
+  const bool stopped = exec.run([&]() {
+    if (progress && sim.raw_now() >= next_report) {
+      progress(sim.raw_now(), reaped, started);
+      next_report = sim.raw_now() + kProgressInterval;
     }
-    if (progress) progress(sim.raw_now(), reaped, started);
-  } else {
-    // Drive in fixed virtual-time chunks (fixed regardless of thread count,
-    // so chunking cannot affect determinism) to give the progress observer
-    // a heartbeat on long single-world runs. When the next pending event
-    // lies beyond the chunk (a trickle scenario idling between arrivals),
-    // jump straight to it instead of spinning empty chunks — the jump
-    // target is a pure function of the event queue, so determinism is
-    // unaffected.
-    while (reaped < static_cast<std::uint64_t>(budget)) {
-      const std::optional<double> next = sim.next_event_time();
-      if (!next.has_value()) {
-        throw ProtocolError(
-            "SessionFleet: event queue drained before the session budget "
-            "completed (scenario '" + s.name + "')");
-      }
-      sim.run_until(std::max(sim.now() + kChunk, *next));
-      if (progress) progress(sim.now(), reaped, started);
-    }
+    return reaped >= static_cast<std::uint64_t>(budget);
+  });
+  if (!stopped) {
+    throw ProtocolError(
+        "SessionFleet: event queues drained before the session budget "
+        "completed (scenario '" + s.name + "')");
   }
+  if (progress) progress(sim.raw_now(), reaped, started);
 
   out.sessions_started = started;
   out.arena_slots = arena.size();
-  out.events_executed = sim.executed_events();
+  out.events_executed = sim.executed_events() + exec.domain_events_executed();
+  out.events_per_domain = exec.events_per_domain();
   out.horizon = sim.now();
   out.stray_packages = dispatcher.stray_packages();
   out.malformed_packages += dispatcher.malformed_packages();
   out.transport.merge(net->transport_stats());
-  if (exec.has_value()) {
-    out.events_executed += exec->domain_events_executed();
-    out.events_per_domain = exec->events_per_domain();
-    // Per-domain shards fold back in ascending domain order (the merges
-    // are commutative; the fixed order keeps the reduction canonical).
-    for (const dht::TransportStats& t : domain_tstats) out.transport.merge(t);
-    dht::LookupStats merged_lookups;
-    for (const dht::LookupStats& l : domain_lstats) merged_lookups.merge(l);
-    if (chord) chord->lookup_stats().merge(merged_lookups);
-    if (kademlia) kademlia->lookup_stats().merge(merged_lookups);
-  }
+  // Per-domain shards fold back in ascending domain order (the merges are
+  // commutative; the fixed order keeps the reduction canonical).
+  for (const dht::TransportStats& t : domain_tstats) out.transport.merge(t);
+  dht::LookupStats merged_lookups;
+  for (const dht::LookupStats& l : domain_lstats) merged_lookups.merge(l);
+  if (chord) chord->lookup_stats().merge(merged_lookups);
+  if (kademlia) kademlia->lookup_stats().merge(merged_lookups);
   if (churn.has_value()) {
     out.churn_deaths = churn->deaths();
     out.churn_transients = churn->transient_outages();

@@ -22,14 +22,14 @@
 // any thread count — regression-tested at 1/2/8 threads like every other
 // sweep in this repository.
 //
-// With ScenarioSpec::domains >= 1 a world additionally runs WITHIN-world
-// parallel via sim::DomainExecutor: sessions are partitioned by
-// index % domains, all shared-state mutation stays on the serial barrier
+// Each world runs on sim::DomainExecutor, which can also parallelize it
+// WITHIN the world: sessions are partitioned by index % ScenarioSpec::
+// domains, all shared-state mutation stays on the serial barrier
 // (arrivals/setup, churn, maintenance, reaps), and each session's message
 // traffic executes in its domain's queue drawing from its own rng stream.
-// Executor tallies are bit-identical across ANY domains >= 1 and any
-// worker count (the bench's 1-vs-8 fingerprint gate), forming their own
-// fingerprint family distinct from the domains=0 legacy serial schedule.
+// Tallies are bit-identical across any domain count and any worker count
+// (the bench's 1-vs-8 fingerprint gate), and a world stops at its last
+// reap.
 #pragma once
 
 #include <cstdint>
@@ -94,17 +94,16 @@ struct FleetTally {
   std::uint64_t worlds = 0;
 
   /// Summed transport counters of every world's network. Deliberately NOT
-  /// part of fingerprint(): the protocol-outcome digest is pinned to
-  /// pre-transport history (the ideal() bit-identity golden); transport
-  /// counters carry their own TransportStats::fingerprint() for the
-  /// thread-invariance gates.
+  /// part of fingerprint(), which digests protocol outcomes only; transport
+  /// counters carry their own TransportStats::fingerprint(), which the
+  /// goldens and invariance gates check alongside.
   dht::TransportStats transport;
 
-  /// Executor mode only (ScenarioSpec::domains >= 1): window events
-  /// executed per domain queue, summed elementwise across worlds. The
-  /// partition itself changes with the domain count, so this is
-  /// D-dependent by construction and — like transport — deliberately NOT
-  /// part of fingerprint(); it feeds the bench's per-domain load report.
+  /// Window events executed per domain queue (ScenarioSpec::domains
+  /// entries), summed elementwise across worlds. The partition itself
+  /// changes with the domain count, so this is D-dependent by construction
+  /// and — like transport — deliberately NOT part of fingerprint(); it
+  /// feeds the bench's per-domain load report.
   std::vector<std::uint64_t> events_per_domain;
 
   void merge(const FleetTally& other);
@@ -118,7 +117,8 @@ struct FleetTally {
 };
 
 /// Progress observer for long single-world runs: (virtual_now,
-/// sessions_reaped, sessions_started), invoked once per drive chunk.
+/// sessions_reaped, sessions_started), invoked at most once per 120 s of
+/// virtual time and once when the world finishes.
 using FleetProgress =
     std::function<void(double, std::uint64_t, std::uint64_t)>;
 
@@ -163,9 +163,10 @@ class SessionFleet {
                obs::Tracer* tracer = nullptr)
       : spec_(spec), world_index_(world_index), tracer_(tracer) {}
 
-  /// Runs the world to completion on the calling thread. `progress` (may
-  /// be null) is invoked between drive chunks; it must not mutate the
-  /// fleet. Deterministic: the tally is a pure function of (spec, index).
+  /// Runs the world to completion on the calling thread (plus the
+  /// executor's workers when domains > 1). `progress` (may be null) is
+  /// invoked between executor rounds; it must not mutate the fleet.
+  /// Deterministic: the tally is a pure function of (spec, index).
   FleetTally run(const FleetProgress& progress = nullptr);
 
  private:

@@ -453,7 +453,7 @@ TEST(ChordMessaging, MessageDeliveredWithLatency) {
   t.sim.run();
   EXPECT_TRUE(delivered);
   EXPECT_GT(t.sim.now(), 0.0);
-  EXPECT_LE(t.sim.now(), t.config.max_message_latency);
+  EXPECT_LE(t.sim.now(), t.net->max_message_latency());
 }
 
 TEST(ChordMessaging, RoutedMessageFollowsResponsibility) {

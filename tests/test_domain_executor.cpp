@@ -1,7 +1,7 @@
 // Tests for the conservative-window parallel executor and its seams: the
 // ExecutionContext redirect, window/barrier ordering, commutative stat
 // merges, and the headline claim — fleet tallies bit-identical at ANY
-// domain count (the serial legacy path stays its own fingerprint family).
+// domain count.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -176,6 +176,12 @@ TEST(DomainExecutor, RejectsNonPositiveLookahead) {
   Simulator global;
   EXPECT_THROW(DomainExecutor(global, 2, 0.0), PreconditionError);
   EXPECT_THROW(DomainExecutor(global, 0, 1.0), PreconditionError);
+  // A spec whose transport has no latency floor would give every world a
+  // zero lookahead, so validate() refuses it before any world is built.
+  ScenarioSpec spec = workload::parse_scenario("poisson-open");
+  spec.transport.min_latency = 0.0;
+  ASSERT_EQ(spec.transport.min_single_latency(), 0.0);
+  EXPECT_THROW(spec.validate(), PreconditionError);
 }
 
 // -- commutative merges -------------------------------------------------------
@@ -265,11 +271,9 @@ TEST(TransportZones, ZoneOfIsPureAndPrimingChangesNothing) {
 }
 
 TEST(TransportZones, MinSingleLatencyIsTheLawFloor) {
-  // The executor's lookahead source: resolved ideal keeps the historical
-  // 10ms floor; fixed is exact; zoned takes the min over both ranges.
-  EXPECT_DOUBLE_EQ(
-      dht::TransportModel::ideal().resolved(0.010, 0.100).min_single_latency(),
-      0.010);
+  // The executor's lookahead source: ideal has a 10 ms floor; fixed is
+  // exact; zoned takes the min over both ranges.
+  EXPECT_DOUBLE_EQ(dht::TransportModel::ideal().min_single_latency(), 0.010);
   dht::TransportModel fixed;
   fixed.kind = dht::LatencyKind::kFixed;
   fixed.max_latency = 0.25;

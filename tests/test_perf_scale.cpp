@@ -2,7 +2,8 @@
 // live-ring index (vs brute-force oracles, under interleaved churn), the
 // run-compressed finger table (vs a dense reference model and the naive
 // per-power bootstrap construction), the peer handles routing follows
-// (consistent with their ids under churn and across a same-id rejoin),
+// (consistent with their ids under churn and across a same-id rejoin) and
+// the ring they form once transient churn stops,
 // O(log n) lookup-hop growth on 1k vs 10k rings, replica-repair timer
 // cadence, and the zero-copy payload guarantees of the SharedBytes refactor.
 #include <gtest/gtest.h>
@@ -241,9 +242,8 @@ TEST(ChordHandles, MatchIdsUnderChurnAndSurviveRejoin) {
   ASSERT_NO_FATAL_FAILURE(expect_handles_match_ids(net, "rejoin"));
 
   // Transient outages: every rejoin reuses its slot while peers still
-  // reference it. Only the handles are checked here: a rejoin's join
-  // lookup can currently return the joiner itself, and rings under
-  // transient churn lose successor consistency.
+  // reference it, so its join lookup must route around that dead slot
+  // rather than back to the joiner.
   ChurnConfig outages;
   outages.mean_lifetime = 2000.0;
   outages.transient_fraction = 1.0;
@@ -254,6 +254,20 @@ TEST(ChordHandles, MatchIdsUnderChurnAndSurviveRejoin) {
   transients.stop();
   EXPECT_GE(transients.transient_outages(), 30u);
   ASSERT_NO_FATAL_FAILURE(expect_handles_match_ids(net, "transients"));
+
+  // Once the churn stops, stabilization restores the ring: every live
+  // node's successor is the next live id, and a lookup of a live id finds
+  // that node.
+  sim.run_until(6000.0 + 20 * config.stabilize_interval);
+  std::vector<NodeId> live = net.alive_ids();
+  std::sort(live.begin(), live.end());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(net.node(live[i])->successor(), live[(i + 1) % live.size()])
+        << "successor of " << live[i].short_hex();
+    const LookupResult hit = net.lookup(live[i]);
+    EXPECT_TRUE(hit.ok) << "lookup of " << live[i].short_hex();
+    EXPECT_EQ(hit.node, live[i]) << "lookup of " << live[i].short_hex();
+  }
 }
 
 // -- O(log n) lookup-hop growth ------------------------------------------------

@@ -272,7 +272,7 @@ TEST(ReleaseTiming, ExactAtTrUnderWanTransportForEveryPathLength) {
 
 TEST(ReleaseTiming, IdealTransportStaysExactAtTr) {
   // The explicit ideal() spelling must behave identically to the default
-  // (it resolves to the same uniform law), pinning the resolved() path.
+  // (it is the same uniform law).
   const dht::TransportModel ideal = dht::TransportModel::ideal();
   AnyWorld w(Backend::kChord, 61, 64, /*maintenance=*/false, ideal);
   SessionConfig config;
@@ -293,7 +293,7 @@ TEST(ReleaseTiming, PartitionOutageDeliversLateButWithinReapSlack) {
   // protocol clamps the late hop to now, and delivery lands at or after tr
   // but within reap_slack — never crashing on the "time in the past"
   // precondition the pre-PR scheduler would have hit.
-  dht::TransportModel outage;  // kIdeal latency law, explicit loss model
+  dht::TransportModel outage;  // ideal latency law, explicit loss model
   outage.max_retries = 8;
   outage.retry_timeout = 2.0;
   outage.retry_backoff = 2.0;

