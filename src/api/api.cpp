@@ -111,82 +111,6 @@ EmergeEvent decode_emerge_event(BytesView payload) {
   return event;
 }
 
-// -- SessionHandle::Builder ---------------------------------------------------
-
-SessionHandle::Builder& SessionHandle::Builder::network(dht::Network& network) {
-  args_.network = &network;
-  return *this;
-}
-
-SessionHandle::Builder& SessionHandle::Builder::cloud(
-    cloud::CloudStore& cloud) {
-  args_.cloud = &cloud;
-  return *this;
-}
-
-SessionHandle::Builder& SessionHandle::Builder::adversary(
-    core::Adversary* adversary) {
-  args_.adversary = adversary;
-  return *this;
-}
-
-SessionHandle::Builder& SessionHandle::Builder::dispatcher(
-    core::SessionDispatcher* dispatcher) {
-  args_.dispatcher = dispatcher;
-  return *this;
-}
-
-SessionHandle::Builder& SessionHandle::Builder::config(
-    const core::SessionConfig& config) {
-  args_.config = config;
-  return *this;
-}
-
-SessionHandle::Builder& SessionHandle::Builder::scheme(core::SchemeKind kind) {
-  args_.config.kind = kind;
-  return *this;
-}
-
-SessionHandle::Builder& SessionHandle::Builder::shape(core::PathShape shape) {
-  args_.config.shape = shape;
-  return *this;
-}
-
-SessionHandle::Builder& SessionHandle::Builder::carriers(std::size_t n) {
-  args_.config.carriers_n = n;
-  return *this;
-}
-
-SessionHandle::Builder& SessionHandle::Builder::threshold(std::size_t m) {
-  args_.config.threshold_m = m;
-  return *this;
-}
-
-SessionHandle::Builder& SessionHandle::Builder::emerging_time(double seconds) {
-  args_.config.emerging_time = seconds;
-  return *this;
-}
-
-SessionHandle::Builder& SessionHandle::Builder::assembly_delay(double seconds) {
-  args_.config.assembly_delay = seconds;
-  return *this;
-}
-
-SessionHandle::Builder& SessionHandle::Builder::backend(
-    crypto::CipherBackend backend) {
-  args_.config.backend = backend;
-  return *this;
-}
-
-SessionHandle::Builder& SessionHandle::Builder::seed(std::uint64_t seed) {
-  args_.seed = seed;
-  return *this;
-}
-
-SessionHandle SessionHandle::Builder::build() {
-  return SessionHandle(std::make_unique<core::TimedReleaseSession>(args_));
-}
-
 // -- LocalClient --------------------------------------------------------------
 
 LocalClient::LocalClient(dht::Network& network, cloud::CloudStore& cloud,
@@ -196,20 +120,19 @@ LocalClient::LocalClient(dht::Network& network, cloud::CloudStore& cloud,
 }
 
 SubmitReceipt LocalClient::submit(const SubmitRequest& request) {
-  SessionHandle handle = SessionHandle::Builder()
-                             .network(network_)
-                             .cloud(cloud_)
-                             .dispatcher(dispatcher_)
-                             .config(request.to_config())
-                             .seed(request.seed)
-                             .build();
+  core::SessionArgs args;
+  args.network = &network_;
+  args.cloud = &cloud_;
+  args.dispatcher = dispatcher_;
+  args.config = request.to_config();
+  args.seed = request.seed;
+  auto session = std::make_unique<core::TimedReleaseSession>(args);
   SubmitReceipt receipt;
-  receipt.blob_id =
-      handle->send(request.message, request.receiver_token);
-  receipt.session_nonce = handle->session_nonce();
-  receipt.start_time = handle->start_time();
-  receipt.release_time = handle->release_time();
-  sessions_.emplace(receipt.session_nonce, std::move(handle));
+  receipt.blob_id = session->send(request.message, request.receiver_token);
+  receipt.session_nonce = session->session_nonce();
+  receipt.start_time = session->start_time();
+  receipt.release_time = session->release_time();
+  sessions_.emplace(receipt.session_nonce, std::move(session));
   return receipt;
 }
 
@@ -233,8 +156,7 @@ std::optional<Bytes> LocalClient::receiver_decrypt(
 
 core::TimedReleaseSession* LocalClient::find(std::uint64_t session_nonce) {
   auto it = sessions_.find(session_nonce);
-  if (it == sessions_.end()) return nullptr;
-  return &it->second.session();
+  return it == sessions_.end() ? nullptr : it->second.get();
 }
 
 }  // namespace emergence::api

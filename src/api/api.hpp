@@ -13,9 +13,6 @@
 // virtual time); service::WireClient binds the *same* interface to the
 // `emerged` daemon's UDP wire (wall-clock time). Code written against
 // Client — tests, benches, the submit tool — runs unchanged on either.
-//
-// SessionHandle is the construction surface for the in-process engine: a
-// named-field Builder over core::SessionArgs.
 #pragma once
 
 #include <map>
@@ -47,7 +44,8 @@ struct SubmitRequest {
   crypto::CipherBackend backend = crypto::CipherBackend::kChaCha20;
   std::uint64_t seed = 1;  ///< sender-side DRBG seed
 
-  /// The SessionConfig this request resolves to.
+  /// The SessionConfig this request describes; both engines apply the
+  /// share defaults to it (core::with_share_defaults).
   core::SessionConfig to_config() const;
 };
 
@@ -92,49 +90,6 @@ class Client {
   virtual std::optional<EmergeEvent> poll(std::uint64_t session_nonce) = 0;
 };
 
-/// An owned in-process session, built by Builder. Move-only; the handle
-/// must outlive the simulation run that drives it (same ownership rule as
-/// the raw session).
-class SessionHandle {
- public:
-  class Builder {
-   public:
-    Builder& network(dht::Network& network);
-    Builder& cloud(cloud::CloudStore& cloud);
-    Builder& adversary(core::Adversary* adversary);
-    Builder& dispatcher(core::SessionDispatcher* dispatcher);
-    Builder& config(const core::SessionConfig& config);
-    Builder& scheme(core::SchemeKind kind);
-    Builder& shape(core::PathShape shape);
-    Builder& carriers(std::size_t n);
-    Builder& threshold(std::size_t m);
-    Builder& emerging_time(double seconds);
-    Builder& assembly_delay(double seconds);
-    Builder& backend(crypto::CipherBackend backend);
-    Builder& seed(std::uint64_t seed);
-
-    /// Constructs the session; throws PreconditionError if network, cloud
-    /// or dispatcher were never set or the configuration is invalid.
-    SessionHandle build();
-
-   private:
-    core::SessionArgs args_;
-  };
-
-  core::TimedReleaseSession& session() { return *session_; }
-  const core::TimedReleaseSession& session() const { return *session_; }
-  core::TimedReleaseSession* operator->() { return session_.get(); }
-  const core::TimedReleaseSession* operator->() const {
-    return session_.get();
-  }
-
- private:
-  explicit SessionHandle(std::unique_ptr<core::TimedReleaseSession> session)
-      : session_(std::move(session)) {}
-
-  std::unique_ptr<core::TimedReleaseSession> session_;
-};
-
 /// Client bound to the in-process engine: every submit() builds a
 /// TimedReleaseSession on the given world and launches it at the current
 /// virtual time. The caller advances the simulator; poll() surfaces the
@@ -162,7 +117,8 @@ class LocalClient final : public Client {
   dht::Network& network_;
   cloud::CloudStore& cloud_;
   core::SessionDispatcher* dispatcher_;
-  std::map<std::uint64_t, SessionHandle> sessions_;
+  std::map<std::uint64_t, std::unique_ptr<core::TimedReleaseSession>>
+      sessions_;
 };
 
 }  // namespace emergence::api

@@ -27,6 +27,12 @@ bool PathLayout::contains(const dht::NodeId& node) const {
   return false;
 }
 
+std::size_t column_holders(SchemeKind kind, const PathShape& shape,
+                           std::size_t carriers_n, std::size_t column) {
+  return kind == SchemeKind::kShare && column < shape.l ? carriers_n
+                                                         : shape.k;
+}
+
 PathLayout build_path_layout(dht::Network& network, SchemeKind kind,
                              const PathShape& shape, std::size_t carriers_n,
                              crypto::Drbg& drbg) {
@@ -43,7 +49,7 @@ PathLayout build_path_layout(dht::Network& network, SchemeKind kind,
 
   std::size_t needed = 0;
   for (std::size_t c = 1; c <= shape.l; ++c) {
-    needed += (share && c < shape.l) ? carriers_n : shape.k;
+    needed += column_holders(kind, shape, carriers_n, c);
   }
   require(network.alive_count() > needed,
           "build_path_layout: not enough live nodes for distinct holders");
@@ -64,7 +70,7 @@ PathLayout build_path_layout(dht::Network& network, SchemeKind kind,
   layout.columns.resize(shape.l);
   layout.ring_points.resize(shape.l);
   for (std::size_t c = 1; c <= shape.l; ++c) {
-    const std::size_t count = (share && c < shape.l) ? carriers_n : shape.k;
+    const std::size_t count = column_holders(kind, shape, carriers_n, c);
     auto& column = layout.columns[c - 1];
     auto& points = layout.ring_points[c - 1];
     column.reserve(count);

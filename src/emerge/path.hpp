@@ -38,6 +38,11 @@ struct PathLayout {
   bool contains(const dht::NodeId& node) const;
 };
 
+/// Holders staffing `column` (1-based): `carriers_n` in the share
+/// scheme's non-terminal columns, k everywhere else.
+std::size_t column_holders(SchemeKind kind, const PathShape& shape,
+                           std::size_t carriers_n, std::size_t column);
+
 /// Builds a layout by deterministic pseudo-random DHT lookups. All holders
 /// are distinct nodes; positions hitting an already-used node are re-drawn
 /// (requires the network to have more live nodes than holders are needed).

@@ -53,6 +53,219 @@ std::optional<std::uint64_t> peek_session_nonce(BytesView payload) {
   return r.u64();
 }
 
+// -- the protocol core --------------------------------------------------------
+
+namespace {
+
+/// Disjoint/joint pre-assign every column's layer keys at ts; the share
+/// scheme only column 1's (later keys travel as shares with the onion).
+bool key_preassigned(const SessionConfig& config, std::size_t column) {
+  return config.kind != SchemeKind::kShare || column == 1;
+}
+
+}  // namespace
+
+SessionConfig with_share_defaults(SessionConfig config) {
+  const std::size_t k = config.shape.k;
+  if (config.kind != SchemeKind::kShare) {
+    config.carriers_n = k;
+  } else if (config.carriers_n == 0) {
+    config.carriers_n = k + 1;
+  }
+  if (config.threshold_m == 0) config.threshold_m = k;
+  return config;
+}
+
+std::optional<std::string> config_error(const SessionConfig& config) {
+  if (config.shape.k < 1 || config.shape.l < 1)
+    return "degenerate path shape (need k >= 1 and l >= 1)";
+  if (config.kind == SchemeKind::kShare &&
+      (config.carriers_n < config.shape.k || config.threshold_m < 1 ||
+       config.threshold_m > config.carriers_n))
+    return "invalid share-scheme parameters (need carriers_n >= k and "
+           "1 <= threshold_m <= carriers_n)";
+  return std::nullopt;
+}
+
+LayerKeyId layer_key_id(const SessionConfig& config, std::uint16_t column,
+                        std::uint16_t holder) {
+  if (config.kind != SchemeKind::kShare && holder < config.shape.k)
+    return LayerKeyId{column, LayerKeyId::kSharedHolder};
+  return LayerKeyId{column, holder};
+}
+
+SenderPlan plan_sender(const SessionConfig& config,
+                       const std::vector<std::vector<dht::NodeId>>& ring_points,
+                       BytesView terminal_payload, crypto::Drbg& drbg) {
+  const std::size_t l = ring_points.size();
+  const auto key_id = [&config](std::size_t column, std::size_t holder) {
+    return layer_key_id(config, static_cast<std::uint16_t>(column),
+                        static_cast<std::uint16_t>(holder));
+  };
+
+  // Layer keys: one shared onion key per column for the pre-assigned
+  // schemes, an individual key per holder for the share scheme.
+  std::map<LayerKeyId, crypto::SymmetricKey> layer_keys;
+  for (std::size_t c = 1; c <= l; ++c) {
+    for (std::size_t h = 0; h < ring_points[c - 1].size(); ++h) {
+      const LayerKeyId id = key_id(c, h);
+      if (layer_keys.find(id) == layer_keys.end())
+        layer_keys[id] = crypto::SymmetricKey::from_bytes(drbg.bytes(32));
+    }
+  }
+
+  std::vector<ColumnBuildSpec> specs(l);
+  for (std::size_t c = 1; c <= l; ++c) {
+    ColumnBuildSpec& spec = specs[c - 1];
+    const std::size_t holders = ring_points[c - 1].size();
+    const bool terminal = (c == l);
+    spec.holder_keys.reserve(holders);
+    spec.envelopes.resize(holders);
+
+    // Share scheme: every key of column c+1 is split into `holders` shares
+    // with threshold m; share h goes into holder h's envelope.
+    std::vector<std::vector<crypto::Share>> next_key_shares;  // [target][src]
+    if (config.kind == SchemeKind::kShare && !terminal) {
+      next_key_shares.resize(ring_points[c].size());
+      for (std::size_t t = 0; t < next_key_shares.size(); ++t) {
+        next_key_shares[t] = crypto::shamir_split(
+            layer_keys.at(key_id(c + 1, t)).to_bytes(), config.threshold_m,
+            holders, drbg);
+      }
+    }
+
+    for (std::size_t h = 0; h < holders; ++h) {
+      spec.holder_keys.push_back(layer_keys.at(key_id(c, h)));
+      EnvelopeContent& env = spec.envelopes[h];
+      if (terminal) {
+        env.terminal_payload.assign(terminal_payload.begin(),
+                                    terminal_payload.end());
+        continue;
+      }
+      // Next hops are ring positions: forwarding re-resolves them through
+      // the DHT, so a dead holder's slot is served by its successor.
+      const auto& next_points = ring_points[c];  // column c+1
+      if (config.kind == SchemeKind::kDisjoint) {
+        env.next_hops.push_back(next_points[h]);
+      } else {
+        env.next_hops = next_points;
+      }
+      for (std::size_t t = 0; t < next_key_shares.size(); ++t) {
+        env.shares.push_back(TargetedShare{static_cast<std::uint16_t>(t),
+                                           next_key_shares[t][h]});
+      }
+    }
+  }
+
+  SenderPlan plan;
+  plan.onion = build_onion(specs, drbg, config.backend);
+  for (std::size_t c = 1; c <= l && key_preassigned(config, c); ++c) {
+    for (std::size_t h = 0; h < ring_points[c - 1].size(); ++h) {
+      plan.keys.push_back(KeyAssignment{
+          static_cast<std::uint16_t>(c), static_cast<std::uint16_t>(h),
+          ring_points[c - 1][h], layer_keys.at(key_id(c, h)).to_bytes()});
+    }
+  }
+  return plan;
+}
+
+std::vector<OutgoingPackage> launch_packages(
+    std::uint64_t session_nonce, const std::vector<dht::NodeId>& column1_points,
+    BytesView onion) {
+  std::vector<OutgoingPackage> out;
+  out.reserve(column1_points.size());
+  for (std::size_t h = 0; h < column1_points.size(); ++h) {
+    out.push_back(OutgoingPackage{
+        column1_points[h],
+        encode_protocol_package(session_nonce, 1,
+                                static_cast<std::uint16_t>(h), onion, {})});
+  }
+  return out;
+}
+
+bool HolderSlot::assemble(ProtocolPackage&& package) {
+  if (onion.empty()) onion = std::move(package.onion);
+  for (crypto::Share& share : package.shares) {
+    const bool dup = std::any_of(
+        shares.begin(), shares.end(),
+        [&](const crypto::Share& s) { return s.index == share.index; });
+    if (!dup) shares.push_back(std::move(share));
+  }
+  if (processing_scheduled) return false;
+  processing_scheduled = true;
+  return true;
+}
+
+std::optional<PeeledLayer> peel(
+    const SessionConfig& config, std::uint16_t column,
+    std::uint16_t holder_index, const HolderSlot& slot,
+    const std::function<const Bytes*()>& load_stored_key) {
+  crypto::SymmetricKey key{};
+  if (key_preassigned(config, column)) {
+    const Bytes* stored = load_stored_key();
+    if (stored == nullptr || stored->size() != 32) return std::nullopt;
+    key = crypto::SymmetricKey::from_bytes(*stored);
+  } else {
+    if (slot.shares.size() < config.threshold_m) return std::nullopt;
+    try {
+      key = crypto::SymmetricKey::from_bytes(
+          crypto::shamir_combine(slot.shares, config.threshold_m));
+    } catch (const Error&) {
+      return std::nullopt;
+    }
+  }
+
+  PeeledLayer peeled;
+  try {
+    const ColumnOnion onion = parse_column_onion(slot.onion);
+    peeled.content = open_envelope(key, onion.envelope_for(holder_index),
+                                   column, config.backend);
+    // The transport key in the envelope unwraps the sealed inner onion.
+    if (!peeled.content.terminal()) {
+      peeled.inner = unwrap_inner(peeled.content.inner_key, onion.inner,
+                                  column, config.backend);
+    }
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+  return peeled;
+}
+
+double hold_until(const SessionConfig& config, double start_time,
+                  std::uint16_t column, bool terminal, double now) {
+  const double deadline =
+      terminal ? start_time + config.emerging_time
+               : start_time + static_cast<double>(column) *
+                                  config.holding_period();
+  return std::max(now, deadline);
+}
+
+std::vector<OutgoingPackage> forward_packages(const SessionConfig& config,
+                                              std::uint64_t session_nonce,
+                                              std::uint16_t column,
+                                              std::uint16_t holder_index,
+                                              const PeeledLayer& peeled) {
+  const std::uint16_t next_column = static_cast<std::uint16_t>(column + 1);
+  const std::vector<dht::NodeId>& hops = peeled.content.next_hops;
+  std::vector<OutgoingPackage> out;
+  out.reserve(hops.size());
+  for (std::size_t i = 0; i < hops.size(); ++i) {
+    const std::uint16_t target = config.kind == SchemeKind::kDisjoint
+                                     ? holder_index
+                                     : static_cast<std::uint16_t>(i);
+    std::vector<crypto::Share> shares;
+    for (const TargetedShare& ts : peeled.content.shares) {
+      if (ts.target_index == target) shares.push_back(ts.share);
+    }
+    out.push_back(OutgoingPackage{
+        hops[i], encode_protocol_package(session_nonce, next_column, target,
+                                         peeled.inner, shares)});
+  }
+  return out;
+}
+
+// -- TimedReleaseSession ------------------------------------------------------
+
 namespace {
 
 const SessionArgs& checked_args(const SessionArgs& args) {
@@ -68,20 +281,13 @@ TimedReleaseSession::TimedReleaseSession(const SessionArgs& raw_args)
     : network_(*checked_args(raw_args).network),
       cloud_(*raw_args.cloud),
       adversary_(raw_args.adversary),
-      config_(raw_args.config),
+      config_(with_share_defaults(raw_args.config)),
       dispatcher_(*raw_args.dispatcher),
       drbg_(raw_args.seed) {
   require(&dispatcher_.network_ == &network_,
           "TimedReleaseSession: dispatcher serves another network");
-  require(config_.shape.k >= 1 && config_.shape.l >= 1,
-          "TimedReleaseSession: degenerate path shape");
-  if (config_.kind == SchemeKind::kShare) {
-    require(config_.carriers_n >= config_.shape.k,
-            "TimedReleaseSession: share scheme needs carriers_n >= k");
-    require(config_.threshold_m >= 1 &&
-                config_.threshold_m <= config_.carriers_n,
-            "TimedReleaseSession: invalid Shamir threshold");
-  }
+  if (const std::optional<std::string> why = config_error(config_))
+    throw PreconditionError("TimedReleaseSession: " + *why);
   require(holding_period() > config_.assembly_delay +
                                  network_.max_message_latency() * 4,
           "TimedReleaseSession: holding period too short for the network");
@@ -109,28 +315,6 @@ void TimedReleaseSession::retire() {
   dispatcher_.deregister_session(session_nonce_);
 }
 
-LayerKeyId TimedReleaseSession::key_id_for(std::uint16_t column,
-                                           std::uint16_t holder) const {
-  // Pre-assigned-key schemes: the k onion slots of a column share K_c
-  // (paper §III-B/C). Share scheme: every holder owns an individual key —
-  // a shared slot key would let a single malicious onion slot (which
-  // reconstructs that key from the n shares addressed to it) open all k
-  // slot envelopes and harvest k shares of every next-column key,
-  // collapsing the per-column Shamir threshold whenever m <= k. The e2e
-  // cross-validation harness flagged exactly that cascade against
-  // Algorithm 1's per-column threshold model.
-  if (config_.kind != SchemeKind::kShare && holder < config_.shape.k)
-    return LayerKeyId{column, LayerKeyId::kSharedHolder};
-  return LayerKeyId{column, holder};
-}
-
-crypto::SymmetricKey TimedReleaseSession::layer_key(
-    const LayerKeyId& id) const {
-  auto it = layer_keys_.find(id);
-  require(it != layer_keys_.end(), "TimedReleaseSession: unknown layer key");
-  return it->second;
-}
-
 cloud::BlobId TimedReleaseSession::send(BytesView message,
                                         const std::string& receiver_token) {
   require(!sent_, "TimedReleaseSession::send called twice");
@@ -149,131 +333,49 @@ cloud::BlobId TimedReleaseSession::send(BytesView message,
   blob_id_ = cloud_.upload(ciphertext, receiver_token);
 
   // 2. Pseudo-randomly select holders through DHT lookups.
-  const std::size_t carriers =
-      config_.kind == SchemeKind::kShare ? config_.carriers_n : config_.shape.k;
-  layout_ = build_path_layout(network_, config_.kind, config_.shape, carriers,
-                              drbg_);
+  layout_ = build_path_layout(network_, config_.kind, config_.shape,
+                              config_.carriers_n, drbg_);
 
-  // 3. Generate layer keys: one shared onion key per column for the
-  // pre-assigned schemes, an individual key per holder for the share
-  // scheme (see key_id_for for why sharing would break the threshold).
-  const std::size_t l = config_.shape.l;
-  for (std::size_t c = 1; c <= l; ++c) {
-    const std::size_t holders = layout_.holders_in_column(c);
-    for (std::size_t h = 0; h < holders; ++h) {
-      const LayerKeyId id = key_id_for(static_cast<std::uint16_t>(c),
-                                       static_cast<std::uint16_t>(h));
-      if (layer_keys_.find(id) == layer_keys_.end()) {
-        layer_keys_[id] = crypto::SymmetricKey::from_bytes(drbg_.bytes(32));
-      }
-    }
-  }
+  // 3. Layer keys, next-column shares and the onion around the secret key.
+  SenderPlan plan =
+      plan_sender(config_, layout_.ring_points, secret_key_, drbg_);
 
-  // 4. Build the envelopes for every column.
-  std::vector<ColumnBuildSpec> specs(l);
-  for (std::size_t c = 1; c <= l; ++c) {
-    ColumnBuildSpec& spec = specs[c - 1];
-    const std::size_t holders = layout_.holders_in_column(c);
-    const bool terminal = (c == l);
-    spec.holder_keys.reserve(holders);
-    spec.envelopes.resize(holders);
-
-    // Pre-split the next column's keys for the share scheme: every key of
-    // column c+1 is split into `holders` shares with threshold m; share h
-    // goes into holder h's envelope.
-    std::vector<std::vector<crypto::Share>> next_key_shares;  // [target][src]
-    if (config_.kind == SchemeKind::kShare && !terminal) {
-      const std::size_t next_holders = layout_.holders_in_column(c + 1);
-      next_key_shares.resize(next_holders);
-      for (std::size_t t = 0; t < next_holders; ++t) {
-        // Every share-scheme holder has an individual key (key_id_for), so
-        // every target's key is split independently.
-        const LayerKeyId id =
-            key_id_for(static_cast<std::uint16_t>(c + 1),
-                       static_cast<std::uint16_t>(t));
-        next_key_shares[t] = crypto::shamir_split(
-            layer_key(id).to_bytes(), config_.threshold_m, holders, drbg_);
-      }
-    }
-
-    for (std::size_t h = 0; h < holders; ++h) {
-      spec.holder_keys.push_back(layer_key(
-          key_id_for(static_cast<std::uint16_t>(c),
-                     static_cast<std::uint16_t>(h))));
-      EnvelopeContent& env = spec.envelopes[h];
-      if (terminal) {
-        env.terminal_payload = secret_key_;
-        continue;
-      }
-      // Next hops are ring positions: forwarding re-resolves them through
-      // the DHT, so a dead holder's slot is served by its successor.
-      const auto& next_points = layout_.ring_points[c];  // column c+1
-      if (config_.kind == SchemeKind::kDisjoint) {
-        env.next_hops.push_back(next_points[h]);
-      } else {
-        env.next_hops = next_points;
-      }
-      if (config_.kind == SchemeKind::kShare) {
-        for (std::size_t t = 0; t < next_points.size(); ++t) {
-          env.shares.push_back(TargetedShare{
-              static_cast<std::uint16_t>(t), next_key_shares[t][h]});
-        }
-      }
-    }
-  }
-  const Bytes onion = build_onion(specs, drbg_, config_.backend);
-
-  // 5. Pre-assign keys, launch the first column.
-  assign_keys_at_start();
-
-  for (std::size_t h = 0; h < layout_.holders_in_column(1); ++h) {
-    const dht::NodeId& point = layout_.ring_points[0][h];
-    network_.send_message_routed(
-        point, point,
-        encode_protocol_package(session_nonce_, 1, static_cast<std::uint16_t>(h),
-                       onion, {}));
+  // 4. Pre-assign keys, launch the first column.
+  assign_keys_at_start(std::move(plan.keys));
+  for (OutgoingPackage& out : launch_packages(
+           session_nonce_, layout_.ring_points[0], plan.onion)) {
+    network_.send_message_routed(out.ring_point, out.ring_point,
+                                 std::move(out.package));
     ++report_.packages_sent;
   }
   return blob_id_;
 }
 
-void TimedReleaseSession::assign_keys_at_start() {
-  // Which columns receive their layer keys directly at ts?
-  //  * disjoint/joint: every column (the schemes pre-assign K_1..K_l);
-  //  * share: only column 1 (later keys travel as shares with the onion).
-  const std::size_t last_preassigned_column =
-      config_.kind == SchemeKind::kShare ? 1 : config_.shape.l;
-
+void TimedReleaseSession::assign_keys_at_start(
+    std::vector<KeyAssignment> keys) {
   // Replica repairs of stored layer keys must also count as exposure
   // (paper §III-D: the replacement node learns the key): the per-key
   // dispatcher registration below routes those observations here.
-  for (std::size_t c = 1; c <= last_preassigned_column; ++c) {
-    const std::size_t holders = layout_.holders_in_column(c);
-    for (std::size_t h = 0; h < holders; ++h) {
-      const LayerKeyId id = key_id_for(static_cast<std::uint16_t>(c),
-                                       static_cast<std::uint16_t>(h));
-      const dht::NodeId& holder = layout_.columns[c - 1][h];
-      // The storage key IS the slot's ring point. Responsibility for the
-      // stored key then migrates under churn exactly like responsibility
-      // for routed packages: replica repair pushes copies along the ring
-      // point's successor chain, so the node that receives the package
-      // after the original holder dies is the same node the repaired key
-      // landed on. (An earlier revision hashed a session-unique tuple
-      // instead, which scattered repairs to nodes unrelated to the slot —
-      // replacements could never reconstruct, inflating drop rates under
-      // churn far beyond the renewal model; the e2e cross-validation sweep
-      // flags exactly this class of divergence.) Ring points are
-      // drbg-derived, so the placement is also reproducible from seeds
-      // alone. Cross-session collisions would need two drbgs to emit the
-      // same 160-bit point.
-      const dht::NodeId storage_key = layout_.ring_points[c - 1][h];
-      storage_key_to_layer_[storage_key] = id;
-      dispatcher_.register_storage_key(storage_key, this);
+  for (KeyAssignment& assignment : keys) {
+    // Storing under the slot's ring point (not a hash of a session-unique
+    // tuple) makes replica repair push copies along the same successor
+    // chain that serves the slot's packages after the original holder
+    // dies. An earlier revision hashed a session-unique tuple instead,
+    // which scattered repairs to nodes unrelated to the slot — replacements
+    // could never reconstruct, inflating drop rates under churn far beyond
+    // the renewal model; the e2e cross-validation sweep flags exactly this
+    // class of divergence. Ring points are drbg-derived, so the placement
+    // is also reproducible from seeds alone.
+    const dht::NodeId& holder =
+        layout_.columns[assignment.column - 1][assignment.holder];
+    storage_key_to_layer_[assignment.storage_key] =
+        layer_key_id(config_, assignment.column, assignment.holder);
+    dispatcher_.register_storage_key(assignment.storage_key, this);
 
-      if (!network_.store_on(holder, storage_key, layer_key(id).to_bytes()))
-        continue;  // holder died before assignment
-      ++report_.key_assignments;
-    }
+    if (!network_.store_on(holder, assignment.storage_key,
+                           std::move(assignment.key)))
+      continue;  // holder died before assignment
+    ++report_.key_assignments;
   }
 }
 
@@ -287,8 +389,7 @@ void TimedReleaseSession::handle_package_message(const dht::NodeId& to,
     return;
   }
   if (pkg.session_nonce != session_nonce_) return;  // dispatcher misroute
-  on_package(to, pkg.column, pkg.holder_index, pkg.onion,
-             std::move(pkg.shares));
+  on_package(to, std::move(pkg));
 }
 
 void TimedReleaseSession::observe_store(const dht::NodeId& node,
@@ -304,16 +405,14 @@ void TimedReleaseSession::observe_store(const dht::NodeId& node,
 }
 
 void TimedReleaseSession::on_package(const dht::NodeId& node,
-                                     std::uint16_t column,
-                                     std::uint16_t holder_index,
-                                     BytesView onion,
-                                     std::vector<crypto::Share> shares) {
-  const sim::Time now = network_.simulator().now();
-
+                                     ProtocolPackage&& pkg) {
+  const std::uint16_t column = pkg.column;
+  const std::uint16_t holder_index = pkg.holder_index;
   if (adversary_ != nullptr && adversary_->is_malicious(node)) {
-    adversary_->observe_package(onion, now);
-    const LayerKeyId my_key = key_id_for(column, holder_index);
-    for (const crypto::Share& s : shares)
+    const sim::Time now = network_.simulator().now();
+    adversary_->observe_package(pkg.onion, now);
+    const LayerKeyId my_key = layer_key_id(config_, column, holder_index);
+    for (const crypto::Share& s : pkg.shares)
       adversary_->observe_share(my_key, s, now);
     if (adversary_->mode() == AttackMode::kDropping) {
       ++report_.packages_dropped_malicious;
@@ -322,20 +421,8 @@ void TimedReleaseSession::on_package(const dht::NodeId& node,
   }
 
   HolderState& state = holders_[{column, holder_index}];
-  if (!state.have_node) {
+  if (state.slot.assemble(std::move(pkg))) {
     state.current_node = node;
-    state.have_node = true;
-  }
-  if (state.onion.empty())
-    state.onion = Bytes(onion.begin(), onion.end());
-  for (const crypto::Share& s : shares) {
-    const bool dup = std::any_of(
-        state.shares.begin(), state.shares.end(),
-        [&](const crypto::Share& e) { return e.index == s.index; });
-    if (!dup) state.shares.push_back(s);
-  }
-  if (!state.processing_scheduled) {
-    state.processing_scheduled = true;
     network_.simulator().schedule_in(
         config_.assembly_delay,
         [this, column, holder_index]() { process_holder(column, holder_index); });
@@ -345,117 +432,55 @@ void TimedReleaseSession::on_package(const dht::NodeId& node,
 
 void TimedReleaseSession::process_holder(std::uint16_t column,
                                          std::uint16_t holder_index) {
-  HolderState& state = holders_[{column, holder_index}];
-  if (state.processed) return;
-  state.processed = true;
-
+  const HolderState& state = holders_[{column, holder_index}];
   const dht::NodeId holder = state.current_node;
   if (!network_.is_alive(holder)) return;  // died while assembling
 
-  // Obtain this holder's layer key.
-  crypto::SymmetricKey key{};
-  const bool preassigned =
-      config_.kind != SchemeKind::kShare || column == 1;
-  if (preassigned) {
-    // Same derivation as assign_keys_at_start: the slot's ring point.
-    const dht::NodeId storage_key = layout_.ring_points[column - 1][holder_index];
-    const SharedBytes stored = network_.load_from(holder, storage_key);
-    if (stored == nullptr || stored->size() != 32) {
-      ++report_.holders_stuck;  // key lost to churn before use
-      return;
-    }
-    key = crypto::SymmetricKey::from_bytes(*stored);
-  } else {
-    if (state.shares.size() < config_.threshold_m) {
-      ++report_.holders_stuck;  // not enough shares survived
-      return;
-    }
-    try {
-      const Bytes raw =
-          crypto::shamir_combine(state.shares, config_.threshold_m);
-      key = crypto::SymmetricKey::from_bytes(raw);
-    } catch (const Error&) {
-      ++report_.holders_stuck;
-      return;
-    }
-  }
-
-  // Peel my envelope.
-  ColumnOnion onion;
-  EnvelopeContent content;
-  try {
-    onion = parse_column_onion(state.onion);
-    content = open_envelope(key, onion.envelope_for(holder_index), column,
-                            config_.backend);
-  } catch (const Error&) {
-    ++report_.holders_stuck;
+  // A pre-assigned key lives in DHT storage under the slot's ring point.
+  SharedBytes stored;
+  std::optional<PeeledLayer> peeled =
+      peel(config_, column, holder_index, state.slot, [&]() -> const Bytes* {
+        stored = network_.load_from(
+            holder, layout_.ring_points[column - 1][holder_index]);
+        return stored.get();
+      });
+  if (!peeled.has_value()) {
+    ++report_.holders_stuck;  // key lost to churn, shares short, bad crypto
     return;
   }
 
   const sim::Time now = network_.simulator().now();
-  if (content.terminal()) {
+  const bool terminal = peeled->content.terminal();
+  const double at = hold_until(config_, start_time_, column, terminal, now);
+  if (terminal) {
     // A covert malicious terminal holder sees the secret one holding period
     // early (the leak the paper's strict Rr metric excludes; see docs/design-notes.md §2).
     if (adversary_ != nullptr && adversary_->is_malicious(holder))
-      adversary_->observe_secret(content.terminal_payload, now);
-    const Bytes secret = content.terminal_payload;
-    // Clamp to now: a package that crossed a lossy/partitioned transport can
-    // assemble after tr, and delivery then happens immediately (late by the
-    // transport's documented bound) instead of tripping the scheduler's
-    // no-past-events precondition. Exact-delivery transports always take the
-    // first branch bit-identically.
+      adversary_->observe_secret(peeled->content.terminal_payload, now);
     network_.simulator().schedule_at(
-        std::max(now, release_time()), [this, holder_index, secret]() {
+        at, [this, holder_index,
+             secret = std::move(peeled->content.terminal_payload)]() {
           deliver_to_receiver(holder_index, secret);
         });
     return;
   }
-
-  // Unwrap the sealed inner onion with the transport key from my envelope.
-  Bytes inner;
-  try {
-    inner = unwrap_inner(content.inner_key, onion.inner, column,
-                         config_.backend);
-  } catch (const Error&) {
-    ++report_.holders_stuck;
-    return;
-  }
-
-  // Forward at the scheduled hop time ts + column * th, clamped to now for
-  // packages the transport delivered past their column's deadline (retried
-  // or partitioned links); lateness then propagates hop-local instead of
-  // crashing the schedule.
-  const double forward_at = std::max(
-      now, start_time_ + static_cast<double>(column) * holding_period());
   network_.simulator().schedule_at(
-      forward_at, [this, column, holder_index, content, inner]() {
-        forward_from(column, holder_index, content, inner);
+      at, [this, column, holder_index, layer = std::move(*peeled)]() {
+        forward_from(column, holder_index, layer);
       });
 }
 
 void TimedReleaseSession::forward_from(std::uint16_t column,
                                        std::uint16_t holder_index,
-                                       const EnvelopeContent& content,
-                                       const Bytes& inner) {
+                                       const PeeledLayer& peeled) {
   // The in-RAM package dies with the node that held it.
   const dht::NodeId holder = holders_[{column, holder_index}].current_node;
   if (!network_.is_alive(holder)) return;  // died while holding
 
-  const std::uint16_t next_column = static_cast<std::uint16_t>(column + 1);
-  for (std::size_t i = 0; i < content.next_hops.size(); ++i) {
-    // Target holder index within the next column: path index for the
-    // disjoint scheme, list position otherwise.
-    const std::uint16_t target =
-        config_.kind == SchemeKind::kDisjoint
-            ? holder_index
-            : static_cast<std::uint16_t>(i);
-    std::vector<crypto::Share> shares;
-    for (const TargetedShare& ts : content.shares) {
-      if (ts.target_index == target) shares.push_back(ts.share);
-    }
-    network_.send_message_routed(
-        holder, content.next_hops[i],
-        encode_protocol_package(session_nonce_, next_column, target, inner, shares));
+  for (OutgoingPackage& out : forward_packages(
+           config_, session_nonce_, column, holder_index, peeled)) {
+    network_.send_message_routed(holder, out.ring_point,
+                                 std::move(out.package));
     ++report_.packages_sent;
   }
 }

@@ -69,6 +69,8 @@ void publish(MetricsRegistry& r, const service::DaemonReport& report,
   r.counter("emergence_daemon_keys_put_total", labels) += report.keys_put;
   r.counter("emergence_daemon_put_failures_total", labels) +=
       report.put_failures;
+  r.counter("emergence_daemon_packages_expired_total", labels) +=
+      report.packages_expired;
 }
 
 void publish(MetricsRegistry& r, const workload::FleetTally& tally,

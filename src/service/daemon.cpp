@@ -1,10 +1,10 @@
 #include "service/daemon.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
-#include "emerge/onion.hpp"
 #include "emerge/protocol.hpp"
 #include "obs/bridge.hpp"
 #include "obs/trace.hpp"
@@ -83,8 +83,8 @@ NodeDaemon::NodeDaemon(sim::Clock& clock, DatagramSocket& socket,
   const std::string name =
       config_.name.empty() ? config_.listen.to_string() : config_.name;
   self_ = Peer{dht::NodeId::hash_of_text(name), config_.listen};
-  socket_.on_receive([this](const Endpoint& from, BytesView datagram) {
-    handle_datagram(from, datagram);
+  socket_.on_receive([this](const Endpoint&, BytesView datagram) {
+    handle_datagram(datagram);
   });
 }
 
@@ -138,12 +138,12 @@ StatusReply NodeDaemon::local_status() const {
 
 // -- pump ---------------------------------------------------------------------
 
-void NodeDaemon::handle_datagram(const Endpoint& from, BytesView datagram) {
+void NodeDaemon::handle_datagram(BytesView datagram) {
   std::optional<WireMessage> message = decode_frame(datagram, stats_);
   if (!message.has_value()) return;  // counted by decode_frame; keep serving
 
   std::visit(
-      [this, &from, &message](auto&& m) {
+      [this, &message](auto&& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, Ping>) {
           on_ping(m);
@@ -164,7 +164,7 @@ void NodeDaemon::handle_datagram(const Endpoint& from, BytesView datagram) {
         } else if constexpr (std::is_same_v<T, Deliver>) {
           on_deliver(m);
         } else if constexpr (std::is_same_v<T, Submit>) {
-          handle_submit(from, std::move(m));
+          handle_submit(std::move(m));
         } else if constexpr (std::is_same_v<T, Status>) {
           on_status(m);
         } else if constexpr (std::is_same_v<T, MetricsRequest>) {
@@ -514,6 +514,19 @@ void NodeDaemon::route_package(Package&& pkg) {
   send_message(next->addr, pkg);
 }
 
+void NodeDaemon::send_packages(const SessionMeta& meta,
+                               std::vector<core::OutgoingPackage> packages) {
+  for (core::OutgoingPackage& out : packages) {
+    Package pkg;
+    pkg.meta = meta;
+    pkg.ring_point = out.ring_point;
+    pkg.package = std::move(out.package);
+    pkg.hops_left = config_.max_hops;
+    ++report_.packages_sent;
+    route_package(std::move(pkg));
+  }
+}
+
 void NodeDaemon::accept_package(Package&& pkg) {
   ++report_.packages_received;
   core::ProtocolPackage decoded;
@@ -523,164 +536,103 @@ void NodeDaemon::accept_package(Package&& pkg) {
     ++stats_.malformed_payload;
     return;
   }
-  if (decoded.session_nonce != pkg.meta.session_nonce || pkg.meta.l == 0 ||
-      pkg.meta.emerging_time <= 0.0 || pkg.meta.assembly_delay < 0.0 ||
-      decoded.column == 0 || decoded.column > pkg.meta.l) {
+  // A session's slots live until one holding period past its tr; a package
+  // for a session past that point (a late or replayed copy) is dropped so
+  // it cannot recreate a slot. Negated comparisons also reject NaNs.
+  const core::SessionConfig& config = pkg.meta.config;
+  const double expiry = pkg.meta.release_time() + pkg.meta.holding_period();
+  if (decoded.session_nonce != pkg.meta.session_nonce || config.shape.l == 0 ||
+      !(config.emerging_time > 0.0) || !(config.assembly_delay >= 0.0) ||
+      !std::isfinite(expiry) || decoded.column == 0 ||
+      decoded.column > config.shape.l) {
     ++stats_.malformed_payload;
     return;
   }
+  const std::uint64_t nonce = decoded.session_nonce;
+  if (clock_.now() >= expiry) {
+    ++report_.packages_expired;
+    return;
+  }
+  if (slot_sessions_.insert(nonce).second)
+    clock_.schedule_at(expiry, [this, nonce]() { expire_slots(nonce); });
 
-  trace_session_event("package_received", decoded.session_nonce,
+  trace_session_event("package_received", nonce,
                       {{"column", std::to_string(decoded.column)},
                        {"holder", std::to_string(decoded.holder_index)}});
-  const SlotKey key{decoded.session_nonce, decoded.column,
-                    decoded.holder_index};
-  HolderSlot& slot = slots_[key];
-  if (slot.onion.empty()) {
-    slot.meta = pkg.meta;
+  const SlotKey key{nonce, decoded.column, decoded.holder_index};
+  WireSlot& slot = slots_[key];
+  if (slot.assembly.assemble(std::move(decoded))) {
+    slot.meta = std::move(pkg.meta);
     slot.ring_point = pkg.ring_point;
-    slot.onion = std::move(decoded.onion);
-  }
-  for (const crypto::Share& share : decoded.shares) {
-    const bool dup = std::any_of(
-        slot.shares.begin(), slot.shares.end(),
-        [&](const crypto::Share& s) { return s.index == share.index; });
-    if (!dup) slot.shares.push_back(share);
-  }
-  if (!slot.processing_scheduled) {
-    slot.processing_scheduled = true;
-    clock_.schedule_in(slot.meta.assembly_delay,
+    clock_.schedule_in(slot.meta.config.assembly_delay,
                        [this, key]() { process_slot(key); });
   }
 }
 
+void NodeDaemon::expire_slots(std::uint64_t nonce) {
+  slot_sessions_.erase(nonce);
+  slots_.erase(slots_.lower_bound(SlotKey{nonce, 0, 0}),
+               slots_.upper_bound(SlotKey{nonce, 0xFFFF, 0xFFFF}));
+}
+
 void NodeDaemon::process_slot(const SlotKey& key) {
-  HolderSlot& slot = slots_[key];
-  if (slot.processed) return;
-  slot.processed = true;
+  const auto it = slots_.find(key);
+  if (it == slots_.end()) return;  // expired while assembling
+  const WireSlot& slot = it->second;
   const std::uint16_t column = std::get<1>(key);
   const std::uint16_t holder_index = std::get<2>(key);
   trace_session_event("slot_processed", std::get<0>(key),
                       {{"column", std::to_string(column)},
                        {"holder", std::to_string(holder_index)}});
 
-  // Layer key: pre-assigned schemes load it from local storage under the
-  // slot's ring point (the Put landed on this node because responsibility
-  // for the key and the package coincide); the share scheme reconstructs
-  // from the shares that travelled with the packages.
-  crypto::SymmetricKey layer_key{};
-  const bool preassigned =
-      slot.meta.scheme != core::SchemeKind::kShare || column == 1;
-  if (preassigned) {
-    auto it = store_.find(slot.ring_point);
-    if (it == store_.end() || it->second.size() != 32) {
-      ++report_.holders_stuck;
-      return;
-    }
-    layer_key = crypto::SymmetricKey::from_bytes(it->second);
-  } else {
-    if (slot.shares.size() < slot.meta.threshold_m) {
-      ++report_.holders_stuck;
-      return;
-    }
-    try {
-      layer_key = crypto::SymmetricKey::from_bytes(
-          crypto::shamir_combine(slot.shares, slot.meta.threshold_m));
-    } catch (const Error&) {
-      ++report_.holders_stuck;
-      return;
-    }
-  }
-
-  // Peel my envelope — the same free functions the simulator holder uses.
-  core::ColumnOnion onion;
-  core::EnvelopeContent content;
-  try {
-    onion = core::parse_column_onion(slot.onion);
-    content = core::open_envelope(layer_key, onion.envelope_for(holder_index),
-                                  column, slot.meta.backend);
-  } catch (const Error&) {
+  // A pre-assigned key is in local storage under the slot's ring point:
+  // the Put landed on this node because responsibility for the key and
+  // the package coincide.
+  std::optional<core::PeeledLayer> peeled = core::peel(
+      slot.meta.config, column, holder_index, slot.assembly,
+      [&]() -> const Bytes* {
+        const auto stored = store_.find(slot.ring_point);
+        return stored == store_.end() ? nullptr : &stored->second;
+      });
+  if (!peeled.has_value()) {
     ++report_.holders_stuck;
     return;
   }
 
-  const sim::Time now = clock_.now();
-  if (content.terminal()) {
+  const bool terminal = peeled->content.terminal();
+  const double at = core::hold_until(slot.meta.config, slot.meta.start_time,
+                                     column, terminal, clock_.now());
+  if (terminal) {
     clock_.schedule_at(
-        std::max(now, slot.meta.release_time()),
-        [this, key, secret = content.terminal_payload]() {
-          deliver_slot(key, secret);
+        at, [this, meta = slot.meta,
+             secret = std::move(peeled->content.terminal_payload)]() {
+          deliver(meta, secret);
         });
     return;
   }
-
-  Bytes inner;
-  try {
-    inner = core::unwrap_inner(content.inner_key, onion.inner, column,
-                               slot.meta.backend);
-  } catch (const Error&) {
-    ++report_.holders_stuck;
-    return;
-  }
-
-  // Forward at the absolute deadline ts + column * th (clamped to now for
-  // packages that arrived past it), mirroring the simulator's timing
-  // contract exactly.
-  const double forward_at =
-      std::max(now, slot.meta.start_time +
-                        static_cast<double>(column) *
-                            slot.meta.holding_period());
-  clock_.schedule_at(forward_at, [this, key, content, inner]() {
-    forward_slot(key, content, inner);
+  clock_.schedule_at(at, [this, meta = slot.meta, column, holder_index,
+                          layer = std::move(*peeled)]() {
+    send_packages(meta, core::forward_packages(meta.config, meta.session_nonce,
+                                               column, holder_index, layer));
   });
 }
 
-void NodeDaemon::forward_slot(const SlotKey& key,
-                              const core::EnvelopeContent& content,
-                              const Bytes& inner) {
-  const HolderSlot& slot = slots_[key];
-  const std::uint16_t column = std::get<1>(key);
-  const std::uint16_t holder_index = std::get<2>(key);
-  const std::uint16_t next_column = static_cast<std::uint16_t>(column + 1);
-
-  for (std::size_t i = 0; i < content.next_hops.size(); ++i) {
-    const std::uint16_t target =
-        slot.meta.scheme == core::SchemeKind::kDisjoint
-            ? holder_index
-            : static_cast<std::uint16_t>(i);
-    std::vector<crypto::Share> shares;
-    for (const core::TargetedShare& ts : content.shares) {
-      if (ts.target_index == target) shares.push_back(ts.share);
-    }
-    Package pkg;
-    pkg.meta = slot.meta;
-    pkg.ring_point = content.next_hops[i];
-    pkg.package = core::encode_protocol_package(
-        slot.meta.session_nonce, next_column, target, inner, shares);
-    pkg.hops_left = config_.max_hops;
-    ++report_.packages_sent;
-    route_package(std::move(pkg));
-  }
-}
-
-void NodeDaemon::deliver_slot(const SlotKey& key, const Bytes& secret) {
-  const HolderSlot& slot = slots_[key];
+void NodeDaemon::deliver(const SessionMeta& meta, const Bytes& secret) {
   ++report_.deliveries;
-  trace_session_event("deliver", slot.meta.session_nonce);
+  trace_session_event("deliver", meta.session_nonce);
   api::EmergeEvent event;
-  event.session_nonce = slot.meta.session_nonce;
-  event.release_time = slot.meta.release_time();
+  event.session_nonce = meta.session_nonce;
+  event.release_time = meta.release_time();
   event.delivery_time = clock_.now();
   event.secret = secret;
-  Deliver deliver;
-  deliver.event = api::encode_emerge_event(event);
-  send_message(slot.meta.receiver, deliver);
+  Deliver message;
+  message.event = api::encode_emerge_event(event);
+  send_message(meta.receiver, message);
 }
 
 // -- sender engine ------------------------------------------------------------
 
-void NodeDaemon::handle_submit(const Endpoint& from, Submit&& msg) {
-  (void)from;
+void NodeDaemon::handle_submit(Submit&& msg) {
   const auto reject = [this, &msg](const std::string& why) {
     ++report_.submits_rejected;
     SubmitAck ack;
@@ -701,23 +653,13 @@ void NodeDaemon::handle_submit(const Endpoint& from, Submit&& msg) {
     reject("invalid receiver endpoint");
     return;
   }
-  const std::size_t k = request.shape.k;
-  const std::size_t l = request.shape.l;
-  if (k < 1 || l < 1) {
-    reject("degenerate path shape (need k >= 1 and l >= 1)");
+  const core::SessionConfig config =
+      core::with_share_defaults(request.to_config());
+  if (const std::optional<std::string> why = core::config_error(config)) {
+    reject(*why);
     return;
   }
-  const bool share = request.scheme == core::SchemeKind::kShare;
-  const std::size_t carriers =
-      share ? (request.carriers_n != 0 ? request.carriers_n : k + 1) : k;
-  const std::size_t threshold =
-      request.threshold_m != 0 ? request.threshold_m : k;
-  if (share && (carriers < k || threshold < 1 || threshold > carriers)) {
-    reject("invalid share-scheme parameters");
-    return;
-  }
-  const double th = request.emerging_time / static_cast<double>(l);
-  if (!(th > request.assembly_delay + kHoldingMargin)) {
+  if (!(config.holding_period() > config.assembly_delay + kHoldingMargin)) {
     reject("holding period too short for the assembly delay");
     return;
   }
@@ -726,138 +668,53 @@ void NodeDaemon::handle_submit(const Endpoint& from, Submit&& msg) {
     return;
   }
 
-  // Build the whole onion with a private DRBG stream, exactly as the
-  // simulator's sender does — ring points here are drawn directly (the
-  // wire routes by key, so no lookup step is needed to define a slot).
+  // A private DRBG stream per submit. Ring points are drawn directly: the
+  // wire routes by key, so no lookup step is needed to define a slot.
   crypto::Drbg drbg = drbg_.fork();
   const std::uint64_t nonce = drbg.u64();
-
-  const auto holders_in = [&](std::size_t column) {
-    return share && column < l ? carriers : k;
-  };
-
-  SubmitJob job;
-  job.meta.session_nonce = nonce;
-  job.meta.start_time = clock_.now();
-  job.meta.emerging_time = request.emerging_time;
-  job.meta.scheme = request.scheme;
-  job.meta.k = static_cast<std::uint16_t>(k);
-  job.meta.l = static_cast<std::uint16_t>(l);
-  job.meta.carriers_n = static_cast<std::uint16_t>(carriers);
-  job.meta.threshold_m = static_cast<std::uint16_t>(threshold);
-  job.meta.backend = request.backend;
-  job.meta.assembly_delay = request.assembly_delay;
-  job.meta.receiver = msg.receiver;
-
-  job.ring_points.resize(l);
-  for (std::size_t c = 1; c <= l; ++c) {
-    job.ring_points[c - 1].resize(holders_in(c));
-    for (dht::NodeId& point : job.ring_points[c - 1])
+  std::vector<std::vector<dht::NodeId>> ring_points(config.shape.l);
+  for (std::size_t c = 1; c <= config.shape.l; ++c) {
+    ring_points[c - 1].resize(core::column_holders(
+        config.kind, config.shape, config.carriers_n, c));
+    for (dht::NodeId& point : ring_points[c - 1])
       point = dht::NodeId::from_bytes(drbg.bytes(dht::kIdBytes));
   }
-
-  // Layer keys: one shared key per column for the pre-assigned schemes,
-  // individual keys for share-scheme holders (same kSharedHolder collapse
-  // as TimedReleaseSession::key_id_for).
-  constexpr std::uint16_t kSharedSlot = 0xFFFF;
-  const auto key_id = [&](std::uint16_t column, std::uint16_t holder) {
-    const std::uint16_t slot =
-        !share && holder < k ? kSharedSlot : holder;
-    return std::make_pair(column, slot);
-  };
-  std::map<std::pair<std::uint16_t, std::uint16_t>, crypto::SymmetricKey>
-      layer_keys;
-  for (std::size_t c = 1; c <= l; ++c) {
-    for (std::size_t h = 0; h < holders_in(c); ++h) {
-      const auto id = key_id(static_cast<std::uint16_t>(c),
-                             static_cast<std::uint16_t>(h));
-      if (layer_keys.find(id) == layer_keys.end())
-        layer_keys[id] = crypto::SymmetricKey::from_bytes(drbg.bytes(32));
-    }
-  }
-
-  // Envelope construction mirrors TimedReleaseSession::send step 4.
-  std::vector<core::ColumnBuildSpec> specs(l);
-  for (std::size_t c = 1; c <= l; ++c) {
-    core::ColumnBuildSpec& spec = specs[c - 1];
-    const std::size_t holders = holders_in(c);
-    const bool terminal = c == l;
-    spec.holder_keys.reserve(holders);
-    spec.envelopes.resize(holders);
-
-    std::vector<std::vector<crypto::Share>> next_key_shares;  // [target][src]
-    if (share && !terminal) {
-      const std::size_t next_holders = holders_in(c + 1);
-      next_key_shares.resize(next_holders);
-      for (std::size_t t = 0; t < next_holders; ++t) {
-        const auto id = key_id(static_cast<std::uint16_t>(c + 1),
-                               static_cast<std::uint16_t>(t));
-        next_key_shares[t] = crypto::shamir_split(
-            layer_keys[id].to_bytes(), threshold, holders, drbg);
-      }
-    }
-
-    for (std::size_t h = 0; h < holders; ++h) {
-      spec.holder_keys.push_back(layer_keys[key_id(
-          static_cast<std::uint16_t>(c), static_cast<std::uint16_t>(h))]);
-      core::EnvelopeContent& env = spec.envelopes[h];
-      if (terminal) {
-        env.terminal_payload = request.message;
-        continue;
-      }
-      const auto& next_points = job.ring_points[c];  // column c+1
-      if (request.scheme == core::SchemeKind::kDisjoint) {
-        env.next_hops.push_back(next_points[h]);
-      } else {
-        env.next_hops = next_points;
-      }
-      if (share) {
-        for (std::size_t t = 0; t < next_points.size(); ++t) {
-          env.shares.push_back(core::TargetedShare{
-              static_cast<std::uint16_t>(t), next_key_shares[t][h]});
-        }
-      }
-    }
-  }
-  job.onion = core::build_onion(specs, drbg, request.backend);
-  if (job.onion.size() + 256 > kMaxFramePayload) {
+  core::SenderPlan plan =
+      core::plan_sender(config, ring_points, request.message, drbg);
+  if (plan.onion.size() + 256 > kMaxFramePayload) {
     reject("message too large for one wire frame");
     return;
   }
 
-  jobs_[nonce] = std::move(job);
-  SubmitJob& stored = jobs_[nonce];
+  SubmitJob& job = jobs_[nonce];
+  job.meta.session_nonce = nonce;
+  job.meta.start_time = clock_.now();
+  job.meta.config = config;
+  job.meta.receiver = msg.receiver;
+  job.onion = std::move(plan.onion);
+  job.launch_points = std::move(ring_points.front());
   ++report_.submits_accepted;
   trace_session_event("submit_accepted", nonce,
-                      {{"l", std::to_string(l)}, {"k", std::to_string(k)}});
+                      {{"l", std::to_string(config.shape.l)},
+                       {"k", std::to_string(config.shape.k)}});
 
   SubmitAck ack;
   ack.token = msg.token;
   ack.ok = true;
   ack.session_nonce = nonce;
-  ack.start_time = stored.meta.start_time;
-  ack.release_time = stored.meta.release_time();
+  ack.start_time = job.meta.start_time;
+  ack.release_time = job.meta.release_time();
   send_message(msg.reply_to, ack);
 
-  // Pre-assign layer keys: every column for disjoint/joint, only column 1
-  // for the share scheme (later keys travel as shares). Column-1 packages
-  // launch once every Put has been acknowledged (or given up on), so
-  // holders never race their own keys.
-  const std::size_t last_preassigned = share ? 1 : l;
-  for (std::size_t c = 1; c <= last_preassigned; ++c) {
-    for (std::size_t h = 0; h < holders_in(c); ++h) {
-      const auto id = key_id(static_cast<std::uint16_t>(c),
-                             static_cast<std::uint16_t>(h));
-      put_layer_key(nonce, stored.ring_points[c - 1][h],
-                    layer_keys[id].to_bytes());
-    }
-  }
+  // Column-1 packages launch once every Put has been acknowledged (or
+  // given up on), so holders never race their own keys.
+  for (core::KeyAssignment& key : plan.keys)
+    put_layer_key(nonce, key.storage_key, std::move(key.key));
 }
 
 void NodeDaemon::put_layer_key(std::uint64_t nonce,
                                const dht::NodeId& storage_key, Bytes value) {
-  SubmitJob& job = jobs_[nonce];
-  ++job.pending_puts;
+  ++jobs_.at(nonce).pending_puts;
 
   Put request;
   request.token = next_token();
@@ -874,34 +731,23 @@ void NodeDaemon::put_layer_key(std::uint64_t nonce,
       request, target(),
       [this, nonce](const WireMessage&) {
         ++report_.keys_put;
-        SubmitJob& j = jobs_[nonce];
-        --j.pending_puts;
-        maybe_launch(nonce);
+        put_settled(nonce);
       },
       [this, nonce]() {
         ++report_.put_failures;
-        SubmitJob& j = jobs_[nonce];
-        --j.pending_puts;
-        maybe_launch(nonce);
+        put_settled(nonce);
       },
       target);
 }
 
-void NodeDaemon::maybe_launch(std::uint64_t nonce) {
-  SubmitJob& job = jobs_[nonce];
-  if (job.launched || job.pending_puts > 0) return;
-  job.launched = true;
-  for (std::size_t h = 0; h < job.ring_points[0].size(); ++h) {
-    Package pkg;
-    pkg.meta = job.meta;
-    pkg.ring_point = job.ring_points[0][h];
-    pkg.package = core::encode_protocol_package(
-        job.meta.session_nonce, 1, static_cast<std::uint16_t>(h), job.onion,
-        {});
-    pkg.hops_left = config_.max_hops;
-    ++report_.packages_sent;
-    route_package(std::move(pkg));
-  }
+void NodeDaemon::put_settled(std::uint64_t nonce) {
+  const auto it = jobs_.find(nonce);
+  if (it == jobs_.end() || --it->second.pending_puts > 0) return;
+  // Every put settled: launch column 1 and forget the job.
+  const SubmitJob job = std::move(it->second);
+  jobs_.erase(it);
+  send_packages(job.meta, core::launch_packages(nonce, job.launch_points,
+                                                job.onion));
 }
 
 }  // namespace emergence::service

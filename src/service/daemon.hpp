@@ -14,16 +14,21 @@
 //     stabilize/notify, successor-list maintenance, recursive greedy
 //     routing with a hop cap, periodic replica repair of stored keys;
 //   * DHT storage (Put/Get/StoreReplica) for pre-assigned layer keys;
-//   * the holder engine: receives protocol packages, waits the assembly
-//     delay, loads/reconstructs its layer key, peels its envelope with the
-//     SAME free functions the simulator sessions use
-//     (parse_column_onion / open_envelope / unwrap_inner), then holds and
-//     forwards at absolute deadlines ts + c*th, delivering the secret to
-//     the receiver endpoint at exactly tr;
-//   * the sender engine: a Submit request makes this daemon build the
-//     whole onion (build_onion + encode_protocol_package, shared with the
-//     simulator), Put the pre-assigned layer keys (acked, with bounded
-//     retries), then launch the column-1 packages.
+//   * the substrate for the protocol core in emerge/protocol.hpp, which
+//     TimedReleaseSession runs over the simulated DHT. As a sender, a
+//     Submit runs core::plan_sender over directly drawn ring points, Puts
+//     the plan's layer keys (acked, with bounded retries), then routes
+//     core::launch_packages. As a holder, arriving packages go through
+//     core::HolderSlot::assemble; after the assembly delay core::peel
+//     reads a pre-assigned key from this node's store, and at
+//     core::hold_until (ts + c*th, or tr) the holder routes
+//     core::forward_packages or sends the secret to the receiver. What
+//     stays here is only the substrate: routing, storage, the clock,
+//     counters and traces;
+//   * bounded holder state: a session's slots are erased one holding
+//     period after its tr (one timer per session), later packages for it
+//     are dropped and counted, and a submit job is forgotten once its
+//     column-1 packages have launched.
 //
 // Single-threaded by construction: every entry point runs from the owning
 // event pump (clock events or socket handler), so there are no locks.
@@ -31,6 +36,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -79,6 +85,9 @@ struct DaemonReport {
   std::uint64_t submits_rejected = 0;
   std::uint64_t keys_put = 0;        ///< layer-key puts acknowledged
   std::uint64_t put_failures = 0;    ///< puts that exhausted their retries
+  /// Packages dropped because their session was already one holding
+  /// period past tr (late or replayed copies; no slot is recreated).
+  std::uint64_t packages_expired = 0;
 };
 
 class NodeDaemon {
@@ -130,26 +139,25 @@ class NodeDaemon {
     std::function<Endpoint()> retarget;
   };
 
-  struct HolderSlot {
-    SessionMeta meta;
+  /// A holder slot on this node: the core's assembly state plus what the
+  /// wire needs to act on it (the session travels with its packages).
+  struct WireSlot {
+    SessionMeta meta;  ///< from the slot's first package
     dht::NodeId ring_point;
-    Bytes onion;
-    std::vector<crypto::Share> shares;
-    bool processing_scheduled = false;
-    bool processed = false;
+    core::HolderSlot assembly;
   };
 
-  /// One in-flight Submit this daemon is executing as the sender.
+  /// One in-flight Submit this daemon is executing as the sender, until
+  /// its layer-key puts settle and column 1 launches.
   struct SubmitJob {
     SessionMeta meta;
     Bytes onion;
-    std::vector<std::vector<dht::NodeId>> ring_points;
+    std::vector<dht::NodeId> launch_points;  ///< column-1 ring points
     std::size_t pending_puts = 0;
-    bool launched = false;
   };
 
   // -- pump -------------------------------------------------------------------
-  void handle_datagram(const Endpoint& from, BytesView datagram);
+  void handle_datagram(BytesView datagram);
   void send_message(const Endpoint& to, const WireMessage& message);
 
   // -- request/response -------------------------------------------------------
@@ -181,16 +189,18 @@ class NodeDaemon {
   // -- holder engine ----------------------------------------------------------
   void accept_package(Package&& pkg);
   void route_package(Package&& pkg);
+  /// Routes protocol packages of the session `meta` describes.
+  void send_packages(const SessionMeta& meta,
+                     std::vector<core::OutgoingPackage> packages);
   void process_slot(const SlotKey& key);
-  void forward_slot(const SlotKey& key, const core::EnvelopeContent& content,
-                    const Bytes& inner);
-  void deliver_slot(const SlotKey& key, const Bytes& secret);
+  void expire_slots(std::uint64_t nonce);
+  void deliver(const SessionMeta& meta, const Bytes& secret);
 
   // -- sender engine ----------------------------------------------------------
-  void handle_submit(const Endpoint& from, Submit&& msg);
+  void handle_submit(Submit&& msg);
   void put_layer_key(std::uint64_t nonce, const dht::NodeId& storage_key,
                      Bytes value);
-  void maybe_launch(std::uint64_t nonce);
+  void put_settled(std::uint64_t nonce);
 
   // -- message handlers -------------------------------------------------------
   void on_ping(const Ping& m);
@@ -223,7 +233,9 @@ class NodeDaemon {
 
   std::map<std::uint64_t, PendingRequest> pending_;
   std::map<dht::NodeId, Bytes> store_;
-  std::map<SlotKey, HolderSlot> slots_;
+  std::map<SlotKey, WireSlot> slots_;
+  /// Sessions with slots here, each with its one expiry timer armed.
+  std::set<std::uint64_t> slot_sessions_;
   std::map<std::uint64_t, SubmitJob> jobs_;
   std::vector<api::EmergeEvent> received_events_;
 

@@ -62,38 +62,40 @@ std::vector<Peer> read_peers(BinaryReader& r) {
 }
 
 void write_meta(BinaryWriter& w, const SessionMeta& meta) {
+  const core::SessionConfig& config = meta.config;
   w.u64(meta.session_nonce);
   write_f64(w, meta.start_time);
-  write_f64(w, meta.emerging_time);
-  w.u8(static_cast<std::uint8_t>(meta.scheme));
-  w.u16(meta.k);
-  w.u16(meta.l);
-  w.u16(meta.carriers_n);
-  w.u16(meta.threshold_m);
-  w.u8(static_cast<std::uint8_t>(meta.backend));
-  write_f64(w, meta.assembly_delay);
+  write_f64(w, config.emerging_time);
+  w.u8(static_cast<std::uint8_t>(config.kind));
+  w.u16(static_cast<std::uint16_t>(config.shape.k));
+  w.u16(static_cast<std::uint16_t>(config.shape.l));
+  w.u16(static_cast<std::uint16_t>(config.carriers_n));
+  w.u16(static_cast<std::uint16_t>(config.threshold_m));
+  w.u8(static_cast<std::uint8_t>(config.backend));
+  write_f64(w, config.assembly_delay);
   write_endpoint(w, meta.receiver);
 }
 
 SessionMeta read_meta(BinaryReader& r) {
   SessionMeta meta;
+  core::SessionConfig& config = meta.config;
   meta.session_nonce = r.u64();
   meta.start_time = read_f64(r);
-  meta.emerging_time = read_f64(r);
+  config.emerging_time = read_f64(r);
   const std::uint8_t scheme = r.u8();
   require(scheme <= static_cast<std::uint8_t>(core::SchemeKind::kShare),
           "SessionMeta: unknown scheme");
-  meta.scheme = static_cast<core::SchemeKind>(scheme);
-  meta.k = r.u16();
-  meta.l = r.u16();
-  meta.carriers_n = r.u16();
-  meta.threshold_m = r.u16();
+  config.kind = static_cast<core::SchemeKind>(scheme);
+  config.shape.k = r.u16();
+  config.shape.l = r.u16();
+  config.carriers_n = r.u16();
+  config.threshold_m = r.u16();
   const std::uint8_t backend = r.u8();
   require(backend <= static_cast<std::uint8_t>(
                          crypto::CipherBackend::kAes256Ctr),
           "SessionMeta: unknown cipher backend");
-  meta.backend = static_cast<crypto::CipherBackend>(backend);
-  meta.assembly_delay = read_f64(r);
+  config.backend = static_cast<crypto::CipherBackend>(backend);
+  config.assembly_delay = read_f64(r);
   meta.receiver = read_endpoint(r);
   return meta;
 }

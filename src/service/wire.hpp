@@ -30,7 +30,7 @@
 
 #include "api/api.hpp"
 #include "dht/node_id.hpp"
-#include "emerge/types.hpp"
+#include "emerge/protocol.hpp"
 
 namespace emergence::service {
 
@@ -183,23 +183,16 @@ struct StoreReplica {
 
 /// Everything a holder needs to act on a package locally: the wire has no
 /// central session object, so the session parameters travel with every hop.
+/// `config` is the sender's SessionConfig with the share defaults applied;
+/// on the wire its shape and share parameters are u16 fields.
 struct SessionMeta {
   std::uint64_t session_nonce = 0;
-  double start_time = 0.0;     ///< ts on the cluster's wall clock
-  double emerging_time = 0.0;  ///< T in seconds
-  core::SchemeKind scheme = core::SchemeKind::kJoint;
-  std::uint16_t k = 0;
-  std::uint16_t l = 0;
-  std::uint16_t carriers_n = 0;
-  std::uint16_t threshold_m = 0;
-  crypto::CipherBackend backend = crypto::CipherBackend::kChaCha20;
-  double assembly_delay = 0.0;
+  double start_time = 0.0;  ///< ts on the cluster's wall clock
+  core::SessionConfig config;
   Endpoint receiver;  ///< where terminal holders deliver the EmergeEvent
 
-  double holding_period() const {
-    return emerging_time / static_cast<double>(l);
-  }
-  double release_time() const { return start_time + emerging_time; }
+  double holding_period() const { return config.holding_period(); }
+  double release_time() const { return start_time + config.emerging_time; }
 };
 
 /// One protocol package hop. `ring_point` is both the routing target and

@@ -6,12 +6,34 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "emerge/protocol.hpp"
 
 namespace emergence::workload {
 
 std::size_t ScenarioSpec::malicious_count() const {
   return static_cast<std::size_t>(malicious_p *
                                   static_cast<double>(population));
+}
+
+namespace {
+
+core::SessionConfig protocol_config(const ScenarioSpec& spec) {
+  core::SessionConfig config;
+  config.kind = spec.scheme;
+  config.shape = spec.shape;
+  config.carriers_n = spec.carriers_n;
+  config.threshold_m = spec.threshold_m;
+  return core::with_share_defaults(config);
+}
+
+}  // namespace
+
+std::size_t ScenarioSpec::resolved_carriers() const {
+  return protocol_config(*this).carriers_n;
+}
+
+std::size_t ScenarioSpec::resolved_threshold() const {
+  return protocol_config(*this).threshold_m;
 }
 
 std::size_t ScenarioSpec::sessions_in_world(std::size_t index) const {
@@ -58,23 +80,17 @@ void ScenarioSpec::validate() const {
             "ScenarioSpec '" + name + "': churn alpha must be positive");
   }
 
-  // Same per-column holder demand as build_path_layout (path.cpp): the
-  // share scheme staffs carriers_n per non-terminal column, k elsewhere.
+  const core::SessionConfig protocol = protocol_config(*this);
   std::size_t holders_needed = 0;
-  const bool share = scheme == core::SchemeKind::kShare;
   for (std::size_t c = 1; c <= shape.l; ++c) {
-    holders_needed += (share && c < shape.l) ? resolved_carriers() : shape.k;
+    holders_needed +=
+        core::column_holders(scheme, shape, protocol.carriers_n, c);
   }
   require(population > holders_needed + 1,
           "ScenarioSpec '" + name +
               "': population too small for distinct holders");
-  if (share) {
-    require(resolved_carriers() >= shape.k,
-            "ScenarioSpec '" + name + "': share scheme needs carriers >= k");
-    require(resolved_threshold() >= 1 &&
-                resolved_threshold() <= resolved_carriers(),
-            "ScenarioSpec '" + name + "': invalid share threshold");
-  }
+  if (const std::optional<std::string> why = core::config_error(protocol))
+    throw PreconditionError("ScenarioSpec '" + name + "': " + *why);
   if (scheme == core::SchemeKind::kCentralized) {
     require(shape.k == 1 && shape.l == 1,
             "ScenarioSpec '" + name + "': centralized scheme is a 1x1 layout");

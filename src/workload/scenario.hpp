@@ -85,15 +85,10 @@ struct ScenarioSpec {
   double holding_period() const {
     return emerging_time / static_cast<double>(shape.l);
   }
-  /// Share-scheme defaults, one home: carriers_n == 0 means k+1,
-  /// threshold_m == 0 means k.
-  std::size_t resolved_carriers() const {
-    if (scheme != core::SchemeKind::kShare) return shape.k;
-    return carriers_n != 0 ? carriers_n : shape.k + 1;
-  }
-  std::size_t resolved_threshold() const {
-    return threshold_m != 0 ? threshold_m : shape.k;
-  }
+  /// carriers_n and threshold_m with the protocol's share defaults
+  /// applied (core::with_share_defaults).
+  std::size_t resolved_carriers() const;
+  std::size_t resolved_threshold() const;
   std::size_t malicious_count() const;
   /// Budget of world `index` (earlier worlds absorb the remainder).
   std::size_t sessions_in_world(std::size_t index) const;

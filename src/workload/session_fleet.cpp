@@ -315,10 +315,8 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
                     ? core::SchemeKind::kJoint
                     : s.scheme;
   config.shape = shape;
-  if (s.scheme == core::SchemeKind::kShare) {
-    config.carriers_n = s.resolved_carriers();
-    config.threshold_m = s.resolved_threshold();
-  }
+  config.carriers_n = s.carriers_n;
+  config.threshold_m = s.threshold_m;
   config.emerging_time = s.emerging_time;
 
   const Bytes payload = bytes_of("service-load-payload");

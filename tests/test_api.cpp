@@ -1,6 +1,6 @@
 // The api facade (src/api/api.hpp): SubmitRequest/EmergeEvent codecs, the
-// SessionHandle builder's preconditions, and the LocalClient end-to-end
-// over a simulated world.
+// in-process session's construction preconditions, and the LocalClient
+// end-to-end over a simulated world.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -101,12 +101,14 @@ TEST(ApiCodec, SubmitRequestResolvesToSessionConfig) {
 }
 
 TEST(SessionBuilder, RejectsMissingWorld) {
-  EXPECT_THROW(SessionHandle::Builder().build(), PreconditionError);
+  EXPECT_THROW(core::TimedReleaseSession(core::SessionArgs{}),
+               PreconditionError);
   // Network and cloud alone are not enough: the dispatcher is required.
   World world;
-  EXPECT_THROW(
-      SessionHandle::Builder().network(*world.net).cloud(world.cloud).build(),
-      PreconditionError);
+  core::SessionArgs args;
+  args.network = world.net.get();
+  args.cloud = &world.cloud;
+  EXPECT_THROW(core::TimedReleaseSession{args}, PreconditionError);
 }
 
 TEST(LocalClient, SubmitPollAndDecryptEndToEnd) {
@@ -146,6 +148,37 @@ TEST(LocalClient, SubmitPollAndDecryptEndToEnd) {
   EXPECT_FALSE(client.poll(receipt.session_nonce + 1).has_value());
   EXPECT_EQ(client.find(receipt.session_nonce + 1), nullptr);
   ASSERT_NE(client.find(receipt.session_nonce), nullptr);
+}
+
+// A share request that leaves carriers_n and threshold_m at 0 means n = k+1
+// and m = k, on the in-process engine exactly as on the wire.
+TEST(LocalClient, ShareRequestWithDefaultParametersEmerges) {
+  World world;
+  LocalClient client(*world.net, world.cloud, world.dispatcher.get());
+
+  SubmitRequest request;
+  request.message = bytes_of("shares by default");
+  request.receiver_token = "bob-token";
+  request.scheme = core::SchemeKind::kShare;
+  request.shape = core::PathShape{2, 3};
+  request.emerging_time = 3600.0;
+  request.seed = 11;
+
+  const SubmitReceipt receipt = client.submit(request);
+  const core::TimedReleaseSession* session =
+      client.find(receipt.session_nonce);
+  ASSERT_NE(session, nullptr);
+  EXPECT_EQ(session->config().carriers_n, 3u);
+  EXPECT_EQ(session->config().threshold_m, 2u);
+
+  world.sim.run_until(receipt.release_time + 1.0);
+  const auto event = client.poll(receipt.session_nonce);
+  ASSERT_TRUE(event.has_value());
+  EXPECT_DOUBLE_EQ(event->delivery_time, receipt.release_time);
+  const auto plaintext =
+      client.receiver_decrypt(receipt.session_nonce, "bob-token");
+  ASSERT_TRUE(plaintext.has_value());
+  EXPECT_EQ(*plaintext, bytes_of("shares by default"));
 }
 
 }  // namespace

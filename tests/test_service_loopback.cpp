@@ -5,9 +5,13 @@
 // and the garbage-tolerance contract are all asserted in virtual time.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/error.hpp"
@@ -104,10 +108,11 @@ struct LoopbackClient {
   std::unique_ptr<DatagramSocket> socket;
   std::unique_ptr<WireClient> client;
 
-  LoopbackClient(Cluster& cluster, const Endpoint& bind) {
+  LoopbackClient(Cluster& cluster, const Endpoint& bind,
+                 const Endpoint& daemon = node_endpoint(0)) {
     socket = cluster.hub.bind(bind);
     WireClient::Options options;
-    options.daemon = node_endpoint(0);
+    options.daemon = daemon;
     options.resend_interval = 0.5;
     options.submit_timeout = 20.0;
     client = std::make_unique<WireClient>(
@@ -284,6 +289,177 @@ TEST(ServiceLoopback, MetricsQueryMatchesInProcessRegistry) {
     EXPECT_EQ(value_of("emergence_joined"), 1.0);
     EXPECT_GE(value_of("emergence_successors"), 1.0);
   }
+}
+
+/// The wire engine pinned counter for counter: a fixed disjoint/joint/share
+/// mix submitted through several daemons must keep producing exactly these
+/// reports, frame counts, nonces and delivery instants. (The simulator
+/// engine is pinned by the fleet fingerprints.)
+TEST(ServiceLoopback, WireEngineGoldenMix) {
+  Cluster cluster(16);
+  cluster.sim.run_until(30.0);
+  ASSERT_EQ(cluster.ring_walk_size(), 16u);
+
+  struct Spec {
+    core::SchemeKind scheme;
+    core::PathShape shape;
+    std::size_t carriers_n;
+    std::size_t threshold_m;
+    std::size_t daemon;
+    std::uint64_t nonce;
+    double delivery_time;
+  };
+  const std::vector<Spec> mix = {
+      {core::SchemeKind::kDisjoint, {2, 3}, 0, 0, 0, 6634971291707179101ull,
+       0x1.680083126e979p+6},
+      {core::SchemeKind::kJoint, {2, 3}, 0, 0, 3, 6892802400713117944ull,
+       0x1.6e020c49ba5e3p+6},
+      {core::SchemeKind::kShare, {2, 3}, 3, 2, 7, 16016386269412679701ull,
+       0x1.75010624dd2f2p+6},
+      {core::SchemeKind::kShare, {2, 3}, 0, 0, 11, 10111109428685929370ull,
+       0x1.7c0083126e979p+6},
+      {core::SchemeKind::kJoint, {3, 4}, 0, 0, 0, 3470881784404533690ull,
+       0x1.820189374bc6bp+6},
+      {core::SchemeKind::kDisjoint, {3, 2}, 0, 0, 5, 15438775547490832549ull,
+       0x1.8804189374bc8p+6},
+      {core::SchemeKind::kShare, {3, 2}, 5, 3, 14, 5409103279885473270ull,
+       0x1.8f010624dd2f2p+6},
+  };
+
+  std::vector<std::unique_ptr<LoopbackClient>> clients;
+  std::vector<api::SubmitReceipt> receipts;
+  for (std::size_t i = 0; i < mix.size(); ++i) {
+    clients.push_back(std::make_unique<LoopbackClient>(
+        cluster, Endpoint{kLoopbackIp, static_cast<std::uint16_t>(8900 + i)},
+        node_endpoint(mix[i].daemon)));
+    api::SubmitRequest request;
+    request.message = bytes_of("golden secret " + std::to_string(i));
+    request.scheme = mix[i].scheme;
+    request.shape = mix[i].shape;
+    request.carriers_n = mix[i].carriers_n;
+    request.threshold_m = mix[i].threshold_m;
+    request.emerging_time = 60.0;
+    request.assembly_delay = 1.0;
+    receipts.push_back(clients[i]->client->submit(request));
+    cluster.sim.run_until(cluster.sim.now() + 1.5);
+  }
+  cluster.sim.run_until(receipts.back().release_time + 30.0);
+
+  for (std::size_t i = 0; i < mix.size(); ++i) {
+    EXPECT_EQ(receipts[i].session_nonce, mix[i].nonce) << "session " << i;
+    const auto event = clients[i]->client->poll(receipts[i].session_nonce);
+    ASSERT_TRUE(event.has_value()) << "session " << i;
+    EXPECT_EQ(Bytes(event->secret),
+              bytes_of("golden secret " + std::to_string(i)));
+    EXPECT_EQ(event->delivery_time, mix[i].delivery_time) << "session " << i;
+    EXPECT_EQ(event->delivery_time, receipts[i].release_time);
+  }
+
+  DaemonReport sum;
+  std::uint64_t frames_sent = 0;
+  for (const auto& node : cluster.nodes) {
+    const DaemonReport& r = node.daemon->report();
+    sum.packages_sent += r.packages_sent;
+    sum.packages_received += r.packages_received;
+    sum.holders_stuck += r.holders_stuck;
+    sum.deliveries += r.deliveries;
+    sum.submits_accepted += r.submits_accepted;
+    sum.submits_rejected += r.submits_rejected;
+    sum.keys_put += r.keys_put;
+    sum.put_failures += r.put_failures;
+    sum.packages_expired += r.packages_expired;
+    frames_sent += node.daemon->stats().frames_sent;
+  }
+  EXPECT_EQ(sum.packages_sent, 108u);
+  EXPECT_EQ(sum.packages_received, 108u);
+  EXPECT_EQ(sum.holders_stuck, 0u);
+  EXPECT_EQ(sum.deliveries, 17u);
+  EXPECT_EQ(sum.submits_accepted, 7u);
+  EXPECT_EQ(sum.submits_rejected, 0u);
+  EXPECT_EQ(sum.keys_put, 41u);
+  EXPECT_EQ(sum.put_failures, 0u);
+  EXPECT_EQ(sum.packages_expired, 0u);
+  EXPECT_EQ(frames_sent, 33148u);
+  EXPECT_EQ(cluster.total_malformed(), 0u);
+}
+
+/// Holder state is bounded: one holding period past a session's tr its
+/// slots are gone from every daemon, and a replayed package is counted and
+/// dropped instead of recreating a slot.
+TEST(ServiceLoopback, HolderSlotsExpireAndReplaysAreDropped) {
+  Cluster cluster(16);
+  cluster.sim.run_until(30.0);
+  ASSERT_EQ(cluster.ring_walk_size(), 16u);
+
+  // Capture the first protocol package any daemon sends, for the replay.
+  std::optional<std::pair<Endpoint, Bytes>> captured;
+  cluster.hub.set_drop_hook(
+      [&captured](const Endpoint&, const Endpoint& to, BytesView datagram) {
+        WireStats scratch;
+        const auto message = decode_frame(datagram, scratch);
+        if (!captured.has_value() && message.has_value() &&
+            std::holds_alternative<Package>(*message)) {
+          captured.emplace(to, Bytes(datagram.begin(), datagram.end()));
+        }
+        return false;
+      });
+
+  LoopbackClient lc(cluster, Endpoint{kLoopbackIp, 8993});
+  const core::SchemeKind schemes[] = {core::SchemeKind::kDisjoint,
+                                      core::SchemeKind::kJoint,
+                                      core::SchemeKind::kShare};
+  std::vector<api::SubmitReceipt> receipts;
+  for (const core::SchemeKind scheme : schemes) {
+    api::SubmitRequest request;
+    request.message = bytes_of("bounded secret");
+    request.scheme = scheme;
+    request.shape = core::PathShape{2, 3};
+    request.emerging_time = 60.0;  // th = 20 s
+    request.assembly_delay = 1.0;
+    receipts.push_back(lc.client->submit(request));
+  }
+
+  // Slots exist while the sessions are in flight.
+  cluster.sim.run_until(receipts.back().start_time + 30.0);
+  std::size_t slots = 0;
+  for (const auto& node : cluster.nodes)
+    slots += node.daemon->holder_slot_count();
+  EXPECT_GT(slots, 0u);
+
+  // One holding period past the last tr, every session emerged and no
+  // daemon holds a slot.
+  cluster.sim.run_until(receipts.back().release_time + 20.0 + 1.0);
+  for (const api::SubmitReceipt& receipt : receipts) {
+    const auto event = lc.client->poll(receipt.session_nonce);
+    ASSERT_TRUE(event.has_value());
+    EXPECT_EQ(Bytes(event->secret), bytes_of("bounded secret"));
+  }
+  for (const auto& node : cluster.nodes)
+    EXPECT_EQ(node.daemon->holder_slot_count(), 0u);
+
+  ASSERT_TRUE(captured.has_value());
+  auto attacker = cluster.hub.bind(Endpoint{kLoopbackIp, 8992});
+  attacker->send_to(captured->first, captured->second);
+  cluster.sim.run_until(cluster.sim.now() + 1.0);
+  std::uint64_t expired = 0;
+  for (const auto& node : cluster.nodes) {
+    expired += node.daemon->report().packages_expired;
+    EXPECT_EQ(node.daemon->holder_slot_count(), 0u);
+  }
+  EXPECT_EQ(expired, 1u);
+  EXPECT_EQ(cluster.total_malformed(), 0u);
+
+  // A session that could never expire (non-finite ts) is malformed.
+  WireStats scratch;
+  auto forged = decode_frame(captured->second, scratch);
+  ASSERT_TRUE(forged.has_value());
+  std::get<Package>(*forged).meta.start_time =
+      std::numeric_limits<double>::quiet_NaN();
+  attacker->send_to(captured->first, encode_frame(*forged));
+  cluster.sim.run_until(cluster.sim.now() + 1.0);
+  for (const auto& node : cluster.nodes)
+    EXPECT_EQ(node.daemon->holder_slot_count(), 0u);
+  EXPECT_EQ(cluster.total_malformed(), 1u);
 }
 
 }  // namespace

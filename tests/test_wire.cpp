@@ -32,14 +32,14 @@ std::vector<WireMessage> sample_messages() {
   SessionMeta meta;
   meta.session_nonce = 0xDEADBEEFCAFEF00Dull;
   meta.start_time = 1754650000.25;
-  meta.emerging_time = 120.5;
-  meta.scheme = core::SchemeKind::kShare;
-  meta.k = 3;
-  meta.l = 4;
-  meta.carriers_n = 5;
-  meta.threshold_m = 2;
-  meta.backend = crypto::CipherBackend::kAes256Ctr;
-  meta.assembly_delay = 1.5;
+  meta.config.emerging_time = 120.5;
+  meta.config.kind = core::SchemeKind::kShare;
+  meta.config.shape.k = 3;
+  meta.config.shape.l = 4;
+  meta.config.carriers_n = 5;
+  meta.config.threshold_m = 2;
+  meta.config.backend = crypto::CipherBackend::kAes256Ctr;
+  meta.config.assembly_delay = 1.5;
   meta.receiver = ep(0x7F000001, 4242);
 
   std::vector<WireMessage> all;
@@ -227,8 +227,8 @@ TEST(Wire, EndpointParsesAndPrints) {
 TEST(Wire, SessionMetaDeadlineHelpers) {
   SessionMeta meta;
   meta.start_time = 100.0;
-  meta.emerging_time = 60.0;
-  meta.l = 4;
+  meta.config.emerging_time = 60.0;
+  meta.config.shape.l = 4;
   EXPECT_DOUBLE_EQ(meta.holding_period(), 15.0);
   EXPECT_DOUBLE_EQ(meta.release_time(), 160.0);
 }

@@ -2,17 +2,18 @@
 # 16-node localhost cluster harness for the emerged daemon.
 #
 # Boots one seed daemon plus N-1 joiners on 127.0.0.1, waits for the Chord
-# ring to converge (successor-walk closes over all N nodes), submits one
-# timed-release session with T seconds to emergence, stays up as the
-# receiver, and asserts
-#   * the secret emerges within TOLERANCE seconds of tr,
+# ring to converge (successor-walk closes over all N nodes), submits two
+# timed-release sessions with T seconds to emergence — a joint one, then a
+# share one at the default carriers (k+1) and threshold (k) — stays up as
+# the receiver of each, and asserts
+#   * each secret emerges within TOLERANCE seconds of its tr,
 #   * no daemon counted a single malformed wire frame, and
 #   * every node answers a metrics query over the wire (status --metrics).
 #
 # Usage: tools/cluster.sh [BUILD_DIR] [NODES] [T_SECONDS] [TOLERANCE]
 # Exit 0 on success. Daemon logs live in $LOG_DIR (kept on failure so CI
 # can upload them).
-set -u
+set -u -o pipefail
 
 BUILD_DIR="${1:-build}"
 NODES="${2:-16}"
@@ -70,14 +71,16 @@ if [ "$converged" -ne 1 ]; then
   exit 1
 fi
 
-echo "cluster.sh: submitting a session with T=${T_SECONDS}s"
-if ! "$EMERGED" submit --daemon="$SEED_ADDR" \
-    --message="the emerged cluster secret" --T="$T_SECONDS" \
-    --k=2 --l=3 --scheme=joint --await --tolerance="$TOLERANCE" \
-    | tee "$LOG_DIR/submit.log"; then
-  echo "cluster.sh: FAIL - submit/emergence failed; see $LOG_DIR" >&2
-  exit 1
-fi
+for scheme in joint share; do
+  echo "cluster.sh: submitting a $scheme session with T=${T_SECONDS}s"
+  if ! "$EMERGED" submit --daemon="$SEED_ADDR" \
+      --message="the emerged $scheme cluster secret" --T="$T_SECONDS" \
+      --k=2 --l=3 --scheme="$scheme" --await --tolerance="$TOLERANCE" \
+      | tee -a "$LOG_DIR/submit.log"; then
+    echo "cluster.sh: FAIL - $scheme submit/emergence failed; see $LOG_DIR" >&2
+    exit 1
+  fi
+done
 
 echo "cluster.sh: verifying a clean ring and a metrics answer from every node"
 if ! "$EMERGED" status --daemon="$SEED_ADDR" --expect-ring="$NODES" \
@@ -86,5 +89,5 @@ if ! "$EMERGED" status --daemon="$SEED_ADDR" --expect-ring="$NODES" \
   exit 1
 fi
 
-echo "cluster.sh: OK - secret emerged on time, ring clean"
+echo "cluster.sh: OK - both secrets emerged on time, ring clean"
 exit 0
