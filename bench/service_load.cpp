@@ -439,7 +439,10 @@ int main(int argc, char** argv) {
               << t.drop_rate() << ", churn " << t.churn_deaths << "d/"
               << t.churn_transients << "t, peak live "
               << t.peak_live_sessions << " in " << t.arena_slots
-              << " slots, " << t.events_executed << " events, net "
+              << " slots, " << t.events_executed << " events (world "
+              << t.world_events << ", " << t.world_lane_fires
+              << " from lanes, heap peak " << t.world_heap_peak << " of "
+              << t.world_queue_peak << "), net "
               << t.transport.attempts << "a/" << t.transport.dropped << "d/"
               << t.transport.retried << "r/" << t.transport.timed_out
               << "to hop_p50 "

@@ -1,6 +1,7 @@
 #include "dht/chord_network.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "sim/execution_context.hpp"
@@ -39,6 +40,10 @@ ChordNetwork::ChordNetwork(sim::Simulator& simulator, Rng& rng,
       rng_(rng),
       config_(config) {
   config_.transport.validate();
+  if (config_.run_maintenance) {
+    stabilize_lane_ = simulator_.add_lane();
+    repair_lane_ = simulator_.add_lane();
+  }
 }
 
 NodeId ChordNetwork::fresh_node_id() {
@@ -169,7 +174,27 @@ void ChordNetwork::bootstrap(std::size_t count) {
   }
 
   if (config_.run_maintenance) {
-    for (const PeerRef& peer : ring) schedule_maintenance(*peer.node);
+    // The phase draws of schedule_maintenance(), in ring order, but armed
+    // in phase order: then every first arm joins its lane (see
+    // schedule_maintenance). Pushed in ring order, random phases would
+    // mostly land below the lane's tail and take the heap. Only two equal
+    // phases could tell the two push orders apart.
+    std::vector<std::pair<double, ChordNode*>> stabilize, repair;
+    stabilize.reserve(count);
+    repair.reserve(count);
+    for (const PeerRef& peer : ring) {
+      stabilize.emplace_back(rng_.real() * config_.stabilize_interval,
+                             peer.node);
+      repair.emplace_back(rng_.real() * config_.replica_repair_interval,
+                          peer.node);
+    }
+    const auto by_phase = [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    };
+    std::stable_sort(stabilize.begin(), stabilize.end(), by_phase);
+    std::stable_sort(repair.begin(), repair.end(), by_phase);
+    for (const auto& [phase, n] : stabilize) schedule_stabilize_in(phase, *n);
+    for (const auto& [phase, n] : repair) schedule_repair_in(phase, *n);
   }
 }
 
@@ -179,6 +204,12 @@ void ChordNetwork::schedule_maintenance(ChordNode& node) {
   // re-armed repair from the stabilize callback, so repair fired at
   // stabilize_interval cadence with a fresh random phase every round —
   // ~4x the configured rate under the default intervals.)
+  //
+  // Each timer kind has its own simulator lane. A re-arm lands at now plus
+  // the fixed interval and now never decreases, so re-arms reach their lane
+  // in deadline order and never touch the heap. A joiner's first arm lands
+  // inside the current interval, below the lane's tail, and takes the heap
+  // once.
   schedule_stabilize_in(rng_.real() * config_.stabilize_interval, node);
   schedule_repair_in(rng_.real() * config_.replica_repair_interval, node);
 }
@@ -189,8 +220,9 @@ void ChordNetwork::schedule_maintenance(ChordNode& node) {
 // would run two). Two words fit std::function's inline buffer, so arming a
 // timer allocates nothing.
 void ChordNetwork::schedule_stabilize_in(double delay, ChordNode& node) {
-  simulator_.schedule_in(
-      delay, [n = &node, incarnation = node.incarnation()]() {
+  simulator_.schedule_in_lane(
+      stabilize_lane_, delay,
+      [n = &node, incarnation = node.incarnation()]() {
         if (!n->alive() || n->incarnation() != incarnation) return;
         n->stabilize();
         n->fix_fingers();
@@ -202,8 +234,9 @@ void ChordNetwork::schedule_stabilize_in(double delay, ChordNode& node) {
 }
 
 void ChordNetwork::schedule_repair_in(double delay, ChordNode& node) {
-  simulator_.schedule_in(
-      delay, [n = &node, incarnation = node.incarnation()]() {
+  simulator_.schedule_in_lane(
+      repair_lane_, delay,
+      [n = &node, incarnation = node.incarnation()]() {
         if (!n->alive() || n->incarnation() != incarnation) return;
         ChordNetwork& net = n->network();
         n->replica_maintenance(net.config_.replication_factor);

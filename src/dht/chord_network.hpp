@@ -219,6 +219,9 @@ class ChordNetwork final : public Network {
   StoreObserver store_observer_;
   LookupStats lookup_stats_;
   MaintenanceStats maintenance_stats_;
+  /// The simulator lanes the two maintenance timers re-arm on.
+  sim::Simulator::Lane stabilize_lane_{};
+  sim::Simulator::Lane repair_lane_{};
   std::uint64_t node_counter_ = 0;
 };
 

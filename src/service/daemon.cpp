@@ -80,6 +80,16 @@ NodeDaemon::NodeDaemon(sim::Clock& clock, DatagramSocket& socket,
   require(config_.listen.valid(), "NodeDaemon: listen endpoint required");
   require(config_.successor_list >= 1, "NodeDaemon: empty successor list");
   require(config_.replicas >= 1, "NodeDaemon: replicas must be >= 1");
+  // Each of these re-arms a timer at now + value: zero, a negative or a NaN
+  // value re-arms at or before now, so one instant would fire forever.
+  for (const auto& [name, value] :
+       {std::pair{"stabilize interval", config_.stabilize_interval},
+        std::pair{"repair interval", config_.repair_interval},
+        std::pair{"request timeout", config_.request_timeout}}) {
+    require(std::isfinite(value) && value > 0.0,
+            std::string("NodeDaemon: ") + name +
+                " must be positive and finite");
+  }
   const std::string name =
       config_.name.empty() ? config_.listen.to_string() : config_.name;
   self_ = Peer{dht::NodeId::hash_of_text(name), config_.listen};

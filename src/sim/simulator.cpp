@@ -29,22 +29,25 @@ EventId Simulator::schedule_at(Time at, std::function<void()> action) {
     return ctx->schedule_at(at, std::move(action));
   }
   assert_owner();
-  // Deterministic past-clamp: an event can never time-travel. The FIFO
-  // tie-break still orders it after everything already pending at now.
-  if (at < now_) at = now_;
-  const EventId id = next_id_++;
-  queue_.push(Entry{at, id, std::move(action)});
-  live_.insert(id);
-  ++scheduled_;
-  if (queue_.size() > max_queue_depth_) max_queue_depth_ = queue_.size();
-  return id;
+  return queue_.push(at, now_, std::move(action));
 }
 
 EventId Simulator::schedule_in(Time delay, std::function<void()> action) {
-  require(delay >= 0.0, "Simulator::schedule_in: negative delay");
   // now() (not now_) so a redirected schedule offsets from the context
   // clock — the executing domain event's logical time.
-  return schedule_at(now() + delay, std::move(action));
+  return schedule_at(TimerQueue::deadline_in(now(), delay),
+                     std::move(action));
+}
+
+EventId Simulator::schedule_in_lane(Lane lane, Time delay,
+                                    std::function<void()> action) {
+  if (ExecutionContext* ctx = ExecutionContext::active_on(this)) {
+    return ctx->schedule_at(TimerQueue::deadline_in(ctx->now(), delay),
+                            std::move(action));
+  }
+  assert_owner();
+  return queue_.push(lane, TimerQueue::deadline_in(now_, delay), now_,
+                     std::move(action));
 }
 
 Time Simulator::now() const {
@@ -56,53 +59,35 @@ Time Simulator::now() const {
 
 void Simulator::cancel(EventId id) {
   assert_owner();
-  if (live_.erase(id) > 0) {
-    cancelled_.insert(id);
-    ++cancelled_events_;
-  }
-}
-
-bool Simulator::skip_cancelled_head() {
-  while (!queue_.empty()) {
-    auto it = cancelled_.find(queue_.top().id);
-    if (it == cancelled_.end()) return true;
-    cancelled_.erase(it);
-    queue_.pop();
-  }
-  return false;
+  queue_.cancel(id);
 }
 
 void Simulator::purge_cancelled() {
   assert_owner();
-  skip_cancelled_head();
+  queue_.next_time();
 }
 
 std::optional<Time> Simulator::next_event_time() {
-  purge_cancelled();
-  if (queue_.empty()) return std::nullopt;
-  return queue_.top().at;
+  assert_owner();
+  return queue_.next_time();
 }
 
-bool Simulator::fire_next() {
+void Simulator::fire_head() {
   assert_owner();
-  if (!skip_cancelled_head()) return false;
-  Entry e = queue_.top();
-  queue_.pop();
-  live_.erase(e.id);
-  now_ = e.at;
-  ++executed_;
-  e.action();
-  return true;
+  TimerQueue::Fired fired = queue_.pop();
+  now_ = fired.at;
+  fired.action();
 }
 
 void Simulator::run() {
-  while (fire_next()) {
-  }
+  while (queue_.next_time()) fire_head();
 }
 
 void Simulator::run_until(Time deadline) {
   require(deadline >= now_, "Simulator::run_until: deadline in the past");
-  while (skip_cancelled_head() && queue_.top().at <= deadline) fire_next();
+  for (std::optional<Time> at; (at = queue_.next_time()) && *at <= deadline;) {
+    fire_head();
+  }
   now_ = deadline;
 }
 
@@ -112,13 +97,15 @@ void Simulator::run_before(Time end) {
   // Strictly <: the window owns [now, end), an event exactly at the barrier
   // belongs to the next window. Events the actions schedule inside the
   // window are picked up by the same loop.
-  while (skip_cancelled_head() && queue_.top().at < end) fire_next();
+  for (std::optional<Time> at; (at = queue_.next_time()) && *at < end;) {
+    fire_head();
+  }
   now_ = end;
 }
 
 std::size_t Simulator::step(std::size_t max_events) {
   std::size_t ran = 0;
-  while (ran < max_events && fire_next()) ++ran;
+  for (; ran < max_events && queue_.next_time(); ++ran) fire_head();
   return ran;
 }
 

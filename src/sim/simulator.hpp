@@ -2,7 +2,10 @@
 //
 // Virtual time is a double in seconds. Events scheduled for the same instant
 // execute in scheduling order (a monotonically increasing sequence number
-// breaks ties), which makes every run deterministic for a fixed seed.
+// breaks ties), which makes every run deterministic for a fixed seed. The
+// events themselves live in a sim::TimerQueue (timer_queue.hpp), the same
+// queue the daemon's WallClock runs on; Simulator adds virtual time, the
+// run loops and the ExecutionContext redirect.
 //
 // Window semantics (pinned; the domain executor depends on them):
 //   - run_until(deadline) runs events with timestamp <= deadline — the
@@ -24,12 +27,10 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <thread>
-#include <unordered_set>
-#include <vector>
 
 #include "sim/clock.hpp"
+#include "sim/timer_queue.hpp"
 
 namespace emergence::sim {
 
@@ -48,8 +49,19 @@ class Simulator final : public Clock {
   /// the context's domain queue instead and carries the context with it.
   EventId schedule_at(Time at, std::function<void()> action) override;
 
-  /// Schedules `action` to run `delay` seconds from now.
+  /// Schedules `action` to run `delay` seconds from now. Throws
+  /// PreconditionError on a negative delay.
   EventId schedule_in(Time delay, std::function<void()> action) override;
+
+  /// Lanes for timers re-armed at one fixed delay (TimerQueue::Lane): a
+  /// lane keeps the (time, seq) order of schedule_in() and saves the heap
+  /// whenever its timers arrive in deadline order.
+  using Lane = TimerQueue::Lane;
+  Lane add_lane() { return queue_.add_lane(); }
+  /// schedule_in() through `lane`. Redirected like schedule_at() under an
+  /// active ExecutionContext (domain queues have no lanes).
+  EventId schedule_in_lane(Lane lane, Time delay,
+                           std::function<void()> action);
 
   /// Cancels a pending event. Cancelling an already-fired or unknown event is
   /// a no-op.
@@ -69,18 +81,18 @@ class Simulator final : public Clock {
   /// Executes at most `max_events` pending events; returns how many ran.
   std::size_t step(std::size_t max_events);
 
-  /// Pops cancelled tombstones off the queue head. run()/run_until()/
-  /// run_before() do this implicitly; next_event_time() requires it, so the
-  /// purge is part of the single-threaded driver contract — never call any
-  /// of these while another thread touches the queue (debug builds assert
-  /// thread ownership).
+  /// Drops cancelled tombstones that reached the queue heads. run()/
+  /// run_until()/run_before() do this implicitly; next_event_time() does
+  /// too, so the purge is part of the single-threaded driver contract —
+  /// never call any of these while another thread touches the queue (debug
+  /// builds assert thread ownership).
   void purge_cancelled();
 
   /// Timestamp of the earliest live pending event, or nullopt when none.
-  /// Calls purge_cancelled() first (an explicit queue mutation, hence
-  /// non-const). Drivers that interleave virtual time with wall-clock work
-  /// (the workload fleet's chunked progress loop, the domain executor's
-  /// window sizing) use this to skip idle gaps instead of spinning.
+  /// Purges first (an explicit queue mutation, hence non-const). Drivers
+  /// that interleave virtual time with wall-clock work (the workload
+  /// fleet's chunked progress loop, the domain executor's window sizing)
+  /// use this to skip idle gaps instead of spinning.
   std::optional<Time> next_event_time();
 
   /// Current virtual time. Under an active ExecutionContext this is the
@@ -89,17 +101,22 @@ class Simulator final : public Clock {
   /// This instance's own clock, ignoring any execution-context redirection
   /// (the executor and the context itself read this).
   Time raw_now() const { return now_; }
-  std::size_t pending() const { return live_.size(); }
-  std::uint64_t executed_events() const { return executed_; }
+  std::size_t pending() const { return queue_.pending(); }
+  std::uint64_t executed_events() const { return queue_.executed(); }
 
-  // -- cheap instrumentation (one counter update per schedule/cancel; the
-  // perf suite reports these per phase) --------------------------------------
+  // -- cheap instrumentation (counters the queue keeps anyway; the perf
+  // suite and tests/test_perf_scale.cpp read them) ---------------------------
   /// Total events ever scheduled.
-  std::uint64_t scheduled_events() const { return scheduled_; }
+  std::uint64_t scheduled_events() const { return queue_.scheduled(); }
   /// Total effective cancellations (of still-pending events).
-  std::uint64_t cancelled_events() const { return cancelled_events_; }
-  /// High-water mark of the event queue (includes tombstones).
-  std::size_t max_queue_depth() const { return max_queue_depth_; }
+  std::uint64_t cancelled_events() const { return queue_.cancelled(); }
+  /// High-water mark of the event queue, heap plus lanes (includes
+  /// tombstones).
+  std::size_t max_queue_depth() const { return queue_.max_depth(); }
+  /// Events served by a lane head instead of the heap.
+  std::uint64_t lane_fires() const { return queue_.lane_fires(); }
+  /// High-water mark of the heap alone (includes tombstones).
+  std::size_t max_heap_depth() const { return queue_.max_heap_depth(); }
 
   /// Debug builds bind the queue to the first thread that mutates it and
   /// assert on every mutating call from another thread. rebind_owner()
@@ -108,39 +125,14 @@ class Simulator final : public Clock {
   void rebind_owner();
 
  private:
-  struct Entry {
-    Time at;
-    EventId id;
-    std::function<void()> action;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;  // FIFO among same-time events
-    }
-  };
-
-  /// Pops cancelled entries off the queue head, consuming their tombstones.
-  /// Returns true when a live entry remains at the top (the single purge
-  /// path shared by fire_next() and the run loops).
-  bool skip_cancelled_head();
-  bool fire_next();
+  /// Fires the earliest live event. Precondition: next_event_time() (or
+  /// queue_.next_time()) just returned a value.
+  void fire_head();
   /// Debug-only: binds on first use, asserts the caller owns the queue.
   void assert_owner() const;
 
   Time now_ = 0.0;
-  EventId next_id_ = 1;
-  std::uint64_t executed_ = 0;
-  std::uint64_t scheduled_ = 0;
-  std::uint64_t cancelled_events_ = 0;
-  std::size_t max_queue_depth_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  /// Ids scheduled but not yet fired or cancelled. cancel() only tombstones
-  /// ids found here, so cancelling a fired or unknown id cannot desync the
-  /// pending count (the old `queue_.size() - cancelled_.size()` arithmetic
-  /// underflowed on exactly those calls).
-  std::unordered_set<EventId> live_;
-  std::unordered_set<EventId> cancelled_;
+  TimerQueue queue_;
 #ifndef NDEBUG
   mutable std::thread::id owner_{};  ///< default-constructed = unbound
 #endif

@@ -1,7 +1,6 @@
 #include "sim/wall_clock.hpp"
 
 #include <chrono>
-#include <utility>
 
 namespace emergence::sim {
 
@@ -10,52 +9,21 @@ Time WallClock::now() const {
   return std::chrono::duration<double>(epoch).count();
 }
 
-EventId WallClock::schedule_at(Time at, std::function<void()> action) {
-  const EventId id = next_id_++;
-  queue_.push(Entry{at, id, std::move(action)});
-  live_.insert(id);
-  return id;
-}
-
-EventId WallClock::schedule_in(Time delay, std::function<void()> action) {
-  return schedule_at(now() + delay, std::move(action));
-}
-
-void WallClock::cancel(EventId id) {
-  auto it = live_.find(id);
-  if (it == live_.end()) return;
-  live_.erase(it);
-  cancelled_.insert(id);
-}
-
-bool WallClock::skip_cancelled_head() {
-  while (!queue_.empty()) {
-    auto it = cancelled_.find(queue_.top().id);
-    if (it == cancelled_.end()) return true;
-    cancelled_.erase(it);
-    queue_.pop();
-  }
-  return false;
-}
-
 std::size_t WallClock::fire_due() {
   std::size_t ran = 0;
-  // Deadlines are re-read from the real clock each iteration so events
-  // scheduled by a firing action run immediately when already due.
-  while (skip_cancelled_head() && queue_.top().at <= now()) {
-    Entry entry = queue_.top();
-    queue_.pop();
-    live_.erase(entry.id);
-    ++executed_;
+  // The real clock is re-read each iteration so events scheduled by a
+  // firing action run immediately when already due.
+  for (std::optional<Time> at; (at = queue_.next_time()) && *at <= now();) {
+    queue_.pop().action();
     ++ran;
-    entry.action();
   }
   return ran;
 }
 
 std::optional<double> WallClock::seconds_until_next() {
-  if (!skip_cancelled_head()) return std::nullopt;
-  const double delta = queue_.top().at - now();
+  const std::optional<Time> at = queue_.next_time();
+  if (!at) return std::nullopt;
+  const double delta = *at - now();
   return delta < 0.0 ? 0.0 : delta;
 }
 

@@ -1,5 +1,6 @@
-// Wall-time driver of the Clock seam (clock.hpp): the timer queue the
-// `emerged` node daemon runs on.
+// Wall-time driver of the Clock seam (clock.hpp): the clock the `emerged`
+// node daemon runs on. Its events live in a sim::TimerQueue
+// (timer_queue.hpp), the same queue as the Simulator's.
 //
 // now() is seconds since the Unix epoch (CLOCK_REALTIME), so timestamps are
 // comparable across localhost daemon processes — the wire protocol's
@@ -17,20 +18,27 @@
 #pragma once
 
 #include <optional>
-#include <queue>
-#include <unordered_set>
-#include <vector>
+#include <utility>
 
 #include "sim/clock.hpp"
+#include "sim/timer_queue.hpp"
 
 namespace emergence::sim {
 
-/// Timer queue over the real clock.
+/// The real clock over a TimerQueue: the queue keeps the Clock contract
+/// (past deadlines clamp to now, negative delays throw, FIFO ties); this
+/// class only reads the real clock.
 class WallClock final : public Clock {
  public:
-  EventId schedule_at(Time at, std::function<void()> action) override;
-  EventId schedule_in(Time delay, std::function<void()> action) override;
-  void cancel(EventId id) override;
+  EventId schedule_at(Time at, std::function<void()> action) override {
+    return queue_.push(at, now(), std::move(action));
+  }
+  EventId schedule_in(Time delay, std::function<void()> action) override {
+    const Time t = now();
+    return queue_.push(TimerQueue::deadline_in(t, delay), t,
+                       std::move(action));
+  }
+  void cancel(EventId id) override { queue_.cancel(id); }
 
   /// Seconds since the Unix epoch.
   Time now() const override;
@@ -44,31 +52,12 @@ class WallClock final : public Clock {
   /// when no events are pending. The daemon uses this as its poll timeout.
   std::optional<double> seconds_until_next();
 
-  std::size_t pending() const { return live_.size(); }
-  std::uint64_t executed_events() const { return executed_; }
+  std::size_t pending() const { return queue_.pending(); }
+  std::uint64_t executed_events() const { return queue_.executed(); }
+  std::uint64_t cancelled_events() const { return queue_.cancelled(); }
 
  private:
-  struct Entry {
-    Time at;
-    EventId id;
-    std::function<void()> action;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;  // FIFO among same-deadline events
-    }
-  };
-
-  /// Pops cancelled tombstones off the queue head; true when a live entry
-  /// remains on top.
-  bool skip_cancelled_head();
-
-  EventId next_id_ = 1;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  std::unordered_set<EventId> live_;
-  std::unordered_set<EventId> cancelled_;
+  TimerQueue queue_;
 };
 
 }  // namespace emergence::sim

@@ -45,6 +45,10 @@ void FleetTally::merge(const FleetTally& other) {
   arena_slots += other.arena_slots;
   peak_live_sessions = std::max(peak_live_sessions, other.peak_live_sessions);
   events_executed += other.events_executed;
+  world_events += other.world_events;
+  world_lane_fires += other.world_lane_fires;
+  world_heap_peak = std::max(world_heap_peak, other.world_heap_peak);
+  world_queue_peak = std::max(world_queue_peak, other.world_queue_peak);
   horizon = std::max(horizon, other.horizon);
   worlds += other.worlds;
   transport.merge(other.transport);
@@ -524,6 +528,10 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
   out.sessions_started = started;
   out.arena_slots = arena.size();
   out.events_executed = sim.executed_events() + exec.domain_events_executed();
+  out.world_events = sim.executed_events();
+  out.world_lane_fires = sim.lane_fires();
+  out.world_heap_peak = sim.max_heap_depth();
+  out.world_queue_peak = sim.max_queue_depth();
   out.events_per_domain = exec.events_per_domain();
   out.horizon = sim.now();
   out.stray_packages = dispatcher.stray_packages();

@@ -90,6 +90,15 @@ struct FleetTally {
   std::uint64_t arena_slots = 0;        ///< slots ever allocated (sum)
   std::uint64_t peak_live_sessions = 0; ///< max concurrently live (max)
   std::uint64_t events_executed = 0;    ///< simulator events (sum)
+  /// The world queue, which holds Chord maintenance and churn (the domain
+  /// queues hold session traffic): its events and those a lane served
+  /// (sums), and the high-water marks of its heap and of heap plus lanes
+  /// (maxes). Like transport, NOT part of fingerprint(): they describe the
+  /// event layer, not the schedule.
+  std::uint64_t world_events = 0;
+  std::uint64_t world_lane_fires = 0;
+  std::uint64_t world_heap_peak = 0;
+  std::uint64_t world_queue_peak = 0;
   double horizon = 0.0;                 ///< virtual end time (max)
   std::uint64_t worlds = 0;
 

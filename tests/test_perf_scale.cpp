@@ -5,7 +5,8 @@
 // (consistent with their ids under churn and across a same-id rejoin) and
 // the ring they form once transient churn stops,
 // O(log n) lookup-hop growth on 1k vs 10k rings, replica-repair timer
-// cadence, and the zero-copy payload guarantees of the SharedBytes refactor.
+// cadence, the simulator lanes maintenance timers fire from, and the
+// zero-copy payload guarantees of the SharedBytes refactor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -356,6 +357,46 @@ TEST(ChordMaintenance, FastRejoinDoesNotDuplicateMaintenanceChains) {
   EXPECT_LE(stats.stabilize_rounds, population * 22);
   EXPECT_GE(stats.repair_rounds, population * 5);
   EXPECT_LE(stats.repair_rounds, population * 6);
+}
+
+// -- the event layer: maintenance rides the simulator's lanes -----------------
+
+TEST(ChordMaintenance, EveryRoundFiresFromALaneAndOnlyOtherEventsTakeTheHeap) {
+  // Exact counters, not a stopwatch. Bootstrap arms each timer kind in
+  // phase order and every re-arm lands at now plus its fixed interval, so
+  // in a churn-free world every stabilize and repair round after bootstrap
+  // fires from a lane, and the heap holds only the other events.
+  const std::size_t population = 10000;
+  sim::Simulator sim;
+  Rng rng(7);
+  NetworkConfig config;
+  config.run_maintenance = true;
+  config.stabilize_interval = 30.0;
+  config.replica_repair_interval = 120.0;
+  ChordNetwork net(sim, rng, config);
+  net.bootstrap(population);
+
+  constexpr std::size_t kOneShots = 64;
+  std::size_t one_shots_fired = 0;
+  for (std::size_t i = 0; i < kOneShots; ++i) {
+    sim.schedule_at(rng.real() * 120.0, [&one_shots_fired] {
+      ++one_shots_fired;
+    });
+  }
+  sim.run_until(135.0);
+
+  const MaintenanceStats& stats = net.maintenance_stats();
+  EXPECT_EQ(one_shots_fired, kOneShots);
+  EXPECT_GE(stats.stabilize_rounds, population * 4);
+  EXPECT_LE(stats.stabilize_rounds, population * 5);
+  EXPECT_GE(stats.repair_rounds, population);
+  EXPECT_LE(stats.repair_rounds, population * 2);
+  EXPECT_EQ(sim.lane_fires(), stats.stabilize_rounds + stats.repair_rounds);
+  EXPECT_EQ(sim.executed_events(), sim.lane_fires() + kOneShots);
+  EXPECT_LE(sim.max_heap_depth(), kOneShots);
+  // Every node still keeps its two timers pending, all of them in lanes.
+  EXPECT_EQ(sim.pending(), 2 * population);
+  EXPECT_GE(sim.max_queue_depth(), 2 * population);
 }
 
 // -- zero-copy payload plumbing ------------------------------------------------

@@ -208,6 +208,34 @@ TEST(ServiceLoopback, RejectsImpossibleSubmitWithDiagnostic) {
       ProtocolError);
 }
 
+TEST(ServiceLoopback, DaemonRejectsNonPositiveOrNonFiniteIntervals) {
+  // Each of these re-arms a timer at now + value. Zero (or a negative or
+  // NaN value) used to be accepted, and the re-arm then landed at or before
+  // now, so one instant fired forever: a simulator never advanced, and a
+  // WallClock's fire_due() never returned to poll the socket.
+  sim::Simulator sim;
+  MemoryDatagramHub hub{sim, 0.0005};
+  auto socket = hub.bind(node_endpoint(0));
+  const double bad_values[] = {0.0, -1.0,
+                               std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()};
+  for (double DaemonConfig::*field :
+       {&DaemonConfig::stabilize_interval, &DaemonConfig::repair_interval,
+        &DaemonConfig::request_timeout}) {
+    for (const double bad : bad_values) {
+      DaemonConfig config;
+      config.listen = node_endpoint(0);
+      config.*field = bad;
+      EXPECT_THROW((NodeDaemon{sim, *socket, config}), PreconditionError)
+          << "value " << bad;
+    }
+  }
+  // The defaults stay valid.
+  DaemonConfig config;
+  config.listen = node_endpoint(0);
+  EXPECT_NO_THROW((NodeDaemon{sim, *socket, config}));
+}
+
 TEST(ServiceLoopback, DaemonSurvivesGarbageAndCountsEveryClass) {
   Cluster cluster(2);
   cluster.sim.run_until(10.0);
