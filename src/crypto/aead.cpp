@@ -1,7 +1,6 @@
 #include "crypto/aead.hpp"
 
 #include "common/error.hpp"
-#include "common/serial.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/hkdf.hpp"
@@ -11,11 +10,11 @@ namespace emergence::crypto {
 namespace {
 
 constexpr std::size_t kNonceSize = 12;
-constexpr std::size_t kTagSize = 32;
+constexpr std::size_t kTagSize = HmacSha256::kTagSize;
 
 struct DerivedKeys {
   std::array<std::uint8_t, 32> enc;
-  Bytes mac;
+  HmacSha256 mac;
 };
 
 DerivedKeys derive_keys(const SymmetricKey& key, CipherBackend backend) {
@@ -23,20 +22,26 @@ DerivedKeys derive_keys(const SymmetricKey& key, CipherBackend backend) {
   info.push_back(static_cast<std::uint8_t>(backend));
   const Bytes okm = hkdf(/*salt=*/{}, BytesView(key.bytes.data(), 32), info,
                          /*length=*/64);
-  DerivedKeys out;
+  DerivedKeys out{{}, HmacSha256(BytesView(okm).subspan(32))};
   std::copy(okm.begin(), okm.begin() + 32, out.enc.begin());
-  out.mac.assign(okm.begin() + 32, okm.end());
   return out;
 }
 
-Bytes compute_tag(BytesView mac_key, BytesView nonce, BytesView aad,
-                  BytesView body) {
-  BinaryWriter w;
-  w.raw(nonce);
-  w.u64(aad.size());
-  w.raw(aad);
-  w.raw(body);
-  return hmac_sha256(mac_key, w.bytes());
+// tag = HMAC(mac key, nonce || u64 LE aad length || aad || body), streamed
+// into the keyed midstate.
+std::array<std::uint8_t, kTagSize> compute_tag(const HmacSha256& mac,
+                                               BytesView nonce, BytesView aad,
+                                               BytesView body) {
+  std::array<std::uint8_t, 8> aad_len{};
+  for (std::size_t i = 0; i < aad_len.size(); ++i)
+    aad_len[i] = static_cast<std::uint8_t>(
+        static_cast<std::uint64_t>(aad.size()) >> (8 * i));
+  Sha256 h = mac.begin();
+  h.update(nonce);
+  h.update(aad_len);
+  h.update(aad);
+  h.update(body);
+  return mac.finish(h);
 }
 
 void apply_stream(const std::array<std::uint8_t, 32>& enc_key, BytesView nonce,
@@ -69,16 +74,14 @@ Bytes aead_seal(const SymmetricKey& key, BytesView nonce12, BytesView plaintext,
   require(nonce12.size() == kNonceSize, "aead_seal: nonce must be 12 bytes");
   const DerivedKeys keys = derive_keys(key, backend);
 
-  Bytes body(plaintext.begin(), plaintext.end());
+  Bytes out(kNonceSize + plaintext.size() + kTagSize);
+  const std::span<std::uint8_t> body(out.data() + kNonceSize, plaintext.size());
+  std::copy(nonce12.begin(), nonce12.end(), out.begin());
+  std::copy(plaintext.begin(), plaintext.end(), body.begin());
   apply_stream(keys.enc, nonce12, body, backend);
 
-  const Bytes tag = compute_tag(keys.mac, nonce12, aad, body);
-
-  Bytes out;
-  out.reserve(kNonceSize + body.size() + kTagSize);
-  append(out, nonce12);
-  append(out, body);
-  append(out, tag);
+  const auto tag = compute_tag(keys.mac, nonce12, aad, body);
+  std::copy(tag.begin(), tag.end(), out.end() - kTagSize);
   return out;
 }
 
@@ -93,7 +96,7 @@ Bytes aead_open(const SymmetricKey& key, BytesView sealed, BytesView aad,
       sealed.subspan(kNonceSize, sealed.size() - kNonceSize - kTagSize);
   const BytesView tag = sealed.subspan(sealed.size() - kTagSize);
 
-  const Bytes expected = compute_tag(keys.mac, nonce, aad, body);
+  const auto expected = compute_tag(keys.mac, nonce, aad, body);
   if (!constant_time_equal(expected, tag))
     throw CryptoError("aead_open: authentication failed");
 

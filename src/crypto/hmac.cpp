@@ -1,32 +1,39 @@
 #include "crypto/hmac.hpp"
 
-#include "crypto/sha256.hpp"
+#include <algorithm>
 
 namespace emergence::crypto {
 
-Bytes hmac_sha256(BytesView key, BytesView data) {
-  constexpr std::size_t kBlock = Sha256::kBlockSize;
-
-  Bytes k(key.begin(), key.end());
-  if (k.size() > kBlock) k = sha256(k);
-  k.resize(kBlock, 0x00);
-
-  Bytes ipad(kBlock), opad(kBlock);
-  for (std::size_t i = 0; i < kBlock; ++i) {
-    ipad[i] = k[i] ^ 0x36;
-    opad[i] = k[i] ^ 0x5c;
+HmacSha256::HmacSha256(BytesView key) {
+  std::array<std::uint8_t, Sha256::kBlockSize> block{};
+  if (key.size() > block.size()) {
+    Sha256 h;
+    h.update(key);
+    const auto digest = h.finalize();
+    std::copy(digest.begin(), digest.end(), block.begin());
+  } else {
+    std::copy(key.begin(), key.end(), block.begin());
   }
+  for (auto& b : block) b ^= 0x36;
+  inner_.update(block);
+  for (auto& b : block) b ^= 0x36 ^ 0x5c;
+  outer_.update(block);
+}
 
-  Sha256 inner;
-  inner.update(ipad);
-  inner.update(data);
+std::array<std::uint8_t, HmacSha256::kTagSize> HmacSha256::finish(
+    Sha256 inner) const {
   const auto inner_digest = inner.finalize();
+  Sha256 outer = outer_;
+  outer.update(inner_digest);
+  return outer.finalize();
+}
 
-  Sha256 outer;
-  outer.update(opad);
-  outer.update(BytesView(inner_digest.data(), inner_digest.size()));
-  const auto digest = outer.finalize();
-  return Bytes(digest.begin(), digest.end());
+Bytes hmac_sha256(BytesView key, BytesView data) {
+  const HmacSha256 mac(key);
+  Sha256 h = mac.begin();
+  h.update(data);
+  const auto tag = mac.finish(h);
+  return Bytes(tag.begin(), tag.end());
 }
 
 }  // namespace emergence::crypto

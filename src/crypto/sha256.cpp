@@ -3,6 +3,12 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "crypto/sha256_kernels.hpp"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace emergence::crypto {
 namespace {
@@ -26,11 +32,10 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
 
 }  // namespace
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
-             0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
+namespace sha256_kernels {
+namespace {
 
-void Sha256::process_block(const std::uint8_t* block) {
+void portable_block(State& state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = static_cast<std::uint32_t>(block[4 * i]) << 24 |
@@ -46,8 +51,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -66,18 +71,122 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
 }
 
+#if defined(__x86_64__)
+// Intel's SHA extensions schedule (Gulley et al., "Intel SHA Extensions",
+// 2013). sha256rnds2 runs two rounds on the state held as ABEF and CDGH;
+// sha256msg1/msg2 extend the message schedule four words at a time, in a
+// ring of four registers.
+__attribute__((target("sha,sse4.1"))) void sha_ni_blocks(
+    State& state, const std::uint8_t* data, std::size_t blocks) {
+  // Loads each big-endian message word into a little-endian lane.
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  __m128i cdgh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);                 // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);               // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);       // ABEF
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);            // CDGH
+
+  for (; blocks > 0; --blocks, data += Sha256::kBlockSize) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      __m128i& cur = w[i % 4];
+      if (i < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+            byte_swap);
+      }
+      __m128i wk = _mm_add_epi32(
+          cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                   &kRoundConstants[static_cast<std::size_t>(4 * i)])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      if (i >= 3 && i < 15) {
+        __m128i& next = w[(i + 1) % 4];
+        next = _mm_add_epi32(next, _mm_alignr_epi8(cur, w[(i + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, cur);
+      }
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+      if (i >= 1 && i < 13) {
+        __m128i& later = w[(i + 3) % 4];
+        later = _mm_sha256msg1_epu32(later, cur);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  tmp = _mm_shuffle_epi32(abef, 0x1B);                // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);               // DCHG
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(tmp, cdgh, 0xF0));  // DCBA
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(cdgh, tmp, 8));     // HGFE
+}
+
+#endif
+
+}  // namespace
+
+void portable(State& state, const std::uint8_t* data, std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += Sha256::kBlockSize)
+    portable_block(state, data);
+}
+
+Compress sha_ni() {
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return nullptr;
+  const bool ssse3_sse41 = (ecx & bit_SSSE3) && (ecx & bit_SSE4_1);
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return nullptr;
+  return ssse3_sse41 && (ebx & bit_SHA) ? &sha_ni_blocks : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+}  // namespace sha256_kernels
+
+namespace {
+
+// Chosen once, on the first hash. Unlike a namespace-scope variable, a
+// function-local static is set before its first use, even when that use is
+// another translation unit's static initializer.
+void compress(sha256_kernels::State& state, const std::uint8_t* data,
+              std::size_t blocks) {
+  static const sha256_kernels::Compress kernel = [] {
+    const sha256_kernels::Compress fast = sha256_kernels::sha_ni();
+    return fast ? fast : &sha256_kernels::portable;
+  }();
+  kernel(state, data, blocks);
+}
+
+}  // namespace
+
+Sha256::Sha256()
+    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
+             0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
+
 void Sha256::update(BytesView data) {
-  require(!finalized_, "Sha256::update after finalize");
+  // Not require(): it would build its std::string message, a heap
+  // allocation, on every call of this hot path.
+  if (finalized_) throw PreconditionError("Sha256::update after finalize");
+  // An empty view may carry a null data(), which memcpy must never see.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {
@@ -86,13 +195,14 @@ void Sha256::update(BytesView data) {
     buffer_len_ += take;
     offset += take;
     if (buffer_len_ == kBlockSize) {
-      process_block(buffer_.data());
+      compress(state_, buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + kBlockSize <= data.size()) {
-    process_block(data.data() + offset);
-    offset += kBlockSize;
+  const std::size_t blocks = (data.size() - offset) / kBlockSize;
+  if (blocks > 0) {
+    compress(state_, data.data() + offset, blocks);
+    offset += blocks * kBlockSize;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -101,31 +211,19 @@ void Sha256::update(BytesView data) {
 }
 
 std::array<std::uint8_t, Sha256::kDigestSize> Sha256::finalize() {
-  require(!finalized_, "Sha256::finalize called twice");
+  if (finalized_) throw PreconditionError("Sha256::finalize called twice");
   finalized_ = true;
 
+  // The buffered bytes, 0x80, zero padding and the big-endian bit length:
+  // one block, or two when fewer than 9 bytes are left after the buffer.
+  std::array<std::uint8_t, kBlockSize * 2> tail{};
+  std::memcpy(tail.data(), buffer_.data(), buffer_len_);
+  tail[buffer_len_] = 0x80;
+  const std::size_t tail_len = buffer_len_ < 56 ? kBlockSize : 2 * kBlockSize;
   const std::uint64_t bit_len = total_len_ * 8;
-  // Append 0x80 then zero padding so the final block has 8 bytes left for
-  // the big-endian bit length.
-  std::uint8_t pad[kBlockSize * 2] = {0x80};
-  const std::size_t pad_len =
-      (buffer_len_ < 56) ? (56 - buffer_len_) : (120 - buffer_len_);
-  // update() path without touching total_len_: process manually.
-  Bytes tail(pad, pad + pad_len);
-  for (int i = 7; i >= 0; --i)
-    tail.push_back(static_cast<std::uint8_t>(bit_len >> (8 * i)));
-
-  std::size_t offset = 0;
-  if (buffer_len_ > 0) {
-    const std::size_t take = kBlockSize - buffer_len_;
-    std::memcpy(buffer_.data() + buffer_len_, tail.data(), take);
-    process_block(buffer_.data());
-    offset = take;
-  }
-  while (offset < tail.size()) {
-    process_block(tail.data() + offset);
-    offset += kBlockSize;
-  }
+  for (std::size_t i = 0; i < 8; ++i)
+    tail[tail_len - 1 - i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
+  compress(state_, tail.data(), tail_len / kBlockSize);
 
   std::array<std::uint8_t, kDigestSize> digest;
   for (int i = 0; i < 8; ++i) {

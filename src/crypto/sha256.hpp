@@ -1,7 +1,8 @@
 // SHA-256 (FIPS 180-4), implemented from the specification.
 //
 // Used for node identifiers, HMAC, HKDF and the ChaCha20 DRBG seeding. The
-// streaming interface supports incremental hashing of large payloads.
+// streaming interface supports incremental hashing of large payloads, and a
+// copy of a hasher is a midstate: both copies continue independently.
 #pragma once
 
 #include <array>
@@ -23,12 +24,10 @@ class Sha256 {
   void update(BytesView data);
 
   /// Finalizes and returns the 32-byte digest. The hasher must not be used
-  /// again afterwards (construct a fresh one).
+  /// again afterwards (construct a fresh one, or finalize a copy instead).
   std::array<std::uint8_t, kDigestSize> finalize();
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, kBlockSize> buffer_;
   std::size_t buffer_len_ = 0;

@@ -2,11 +2,15 @@
 //
 // Vectors: SHA-256 (FIPS 180-4 / NIST examples), HMAC-SHA256 (RFC 4231),
 // HKDF (RFC 5869), ChaCha20 (RFC 8439 §2.3.2/§2.4.2), AES (FIPS 197 App. C,
-// NIST SP 800-38A CTR).
+// NIST SP 800-38A CTR). The AEAD, long-key HMAC and maximum-length HKDF
+// vectors pin this library's own output bytes; every AEAD tag among them
+// was also checked against an independent HMAC-SHA256 (Python's hmac).
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/hex.hpp"
+#include "common/rng.hpp"
+#include "common/serial.hpp"
 #include "crypto/aead.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/chacha20.hpp"
@@ -15,6 +19,7 @@
 #include "crypto/hkdf.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_kernels.hpp"
 
 namespace emergence::crypto {
 namespace {
@@ -22,6 +27,49 @@ namespace {
 using emergence::bytes_of;
 using emergence::from_hex;
 using emergence::to_hex;
+
+// Byte i is i * 31 + seed: a fixed input that is not one repeated byte.
+Bytes pattern(std::size_t n, std::uint8_t seed) {
+  Bytes out(n);
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = static_cast<std::uint8_t>(i * 31 + seed);
+  return out;
+}
+
+// Feeds `msg` to `h` in pieces of random length, empty pieces included.
+void update_in_random_splits(Sha256& h, BytesView msg, Rng& rng) {
+  std::size_t offset = 0;
+  while (offset < msg.size()) {
+    const std::size_t take =
+        std::min<std::size_t>(rng.uniform(0, 150), msg.size() - offset);
+    h.update(msg.subspan(offset, take));
+    offset += take;
+  }
+}
+
+// The FIPS 180-4 padding of `msg`: 0x80, zeros and the big-endian bit
+// length, to a whole number of blocks.
+Bytes padded(BytesView msg) {
+  Bytes out(msg.begin(), msg.end());
+  out.push_back(0x80);
+  while (out.size() % Sha256::kBlockSize != 56) out.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i)
+    out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  return out;
+}
+
+constexpr sha256_kernels::State kSha256Iv = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+Bytes digest_of(const sha256_kernels::State& state) {
+  Bytes out;
+  for (const std::uint32_t word : state)
+    for (int shift = 24; shift >= 0; shift -= 8)
+      out.push_back(static_cast<std::uint8_t>(word >> shift));
+  return out;
+}
 
 // -- SHA-256 ------------------------------------------------------------------
 
@@ -85,6 +133,58 @@ TEST(Sha256, FinalizeTwiceThrows) {
   EXPECT_THROW((void)h.finalize(), PreconditionError);
 }
 
+TEST(Sha256, EmptyUpdateMidBlockIsANoOp) {
+  // An empty view's data() is null; with a partial block buffered, update
+  // must not hand it to memcpy (undefined even for zero bytes).
+  Sha256 h;
+  h.update(bytes_of("abc"));
+  h.update(BytesView{});
+  const auto digest = h.finalize();
+  EXPECT_EQ(Bytes(digest.begin(), digest.end()), sha256(bytes_of("abc")));
+}
+
+TEST(Sha256, RandomSplitsMatchThePortableKernel) {
+  // Sha256 runs whichever kernel the CPU supports; the portable kernel over
+  // the padded message in one call is the reference.
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    Rng rng(seed);
+    const Bytes msg = rng.bytes(rng.uniform(0, 4096));
+    Sha256 h;
+    update_in_random_splits(h, msg, rng);
+    const auto digest = h.finalize();
+
+    const Bytes blocks = padded(msg);
+    sha256_kernels::State state = kSha256Iv;
+    sha256_kernels::portable(state, blocks.data(),
+                             blocks.size() / Sha256::kBlockSize);
+    ASSERT_EQ(Bytes(digest.begin(), digest.end()), digest_of(state))
+        << "seed " << seed << ", " << msg.size() << " bytes";
+  }
+}
+
+TEST(Sha256, ShaNiKernelMatchesPortable) {
+  const sha256_kernels::Compress sha_ni = sha256_kernels::sha_ni();
+  if (sha_ni == nullptr)
+    GTEST_SKIP() << "this CPU does not report SHA, SSSE3 and SSE4.1: only "
+                    "the portable kernel runs here";
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    Rng rng(seed);
+    const Bytes blocks = padded(rng.bytes(rng.uniform(0, 4096)));
+    const std::size_t count = blocks.size() / Sha256::kBlockSize;
+    sha256_kernels::State reference = kSha256Iv;
+    sha256_kernels::portable(reference, blocks.data(), count);
+    // The SHA-NI kernel takes the same blocks in runs of random length.
+    sha256_kernels::State fast = kSha256Iv;
+    for (std::size_t done = 0; done < count;) {
+      const std::size_t run =
+          std::min<std::size_t>(rng.uniform(1, 9), count - done);
+      sha_ni(fast, blocks.data() + done * Sha256::kBlockSize, run);
+      done += run;
+    }
+    ASSERT_EQ(fast, reference) << "seed " << seed << ", " << count << " blocks";
+  }
+}
+
 // -- HMAC-SHA256 (RFC 4231) ----------------------------------------------------
 
 TEST(Hmac, Rfc4231Case1) {
@@ -121,6 +221,30 @@ TEST(Hmac, DifferentKeysDiffer) {
             hmac_sha256(bytes_of("k2"), bytes_of("m")));
 }
 
+TEST(Hmac, KeysAtAndPastTheBlockSize) {
+  // A 64-byte key is used as is; a 65-byte key is hashed first.
+  EXPECT_EQ(to_hex(hmac_sha256(pattern(64, 0x11), pattern(100, 0x22))),
+            "8854493cf7398feee3506090a001fd42f93d7ff33da597d9849498c772a9e837");
+  EXPECT_EQ(to_hex(hmac_sha256(pattern(65, 0x11), pattern(100, 0x22))),
+            "e66058b6ea221b230b125e8cd772f0f3eee4912fe675d583a1b63e0ed3616aeb");
+}
+
+TEST(Hmac, ReusedKeyMatchesOneShot) {
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    Rng rng(seed);
+    const Bytes key = rng.bytes(rng.uniform(0, 130));
+    const HmacSha256 mac(key);
+    for (int m = 0; m < 4; ++m) {
+      const Bytes msg = rng.bytes(rng.uniform(0, 300));
+      Sha256 h = mac.begin();
+      update_in_random_splits(h, msg, rng);
+      const auto tag = mac.finish(h);
+      ASSERT_EQ(Bytes(tag.begin(), tag.end()), hmac_sha256(key, msg))
+          << "seed " << seed << ", message " << m;
+    }
+  }
+}
+
 // -- HKDF (RFC 5869) -----------------------------------------------------------
 
 TEST(Hkdf, Rfc5869Case1) {
@@ -142,6 +266,17 @@ TEST(Hkdf, Rfc5869Case3NoSaltNoInfo) {
   EXPECT_EQ(to_hex(okm),
             "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
             "9d201395faa4b61a96c8");
+}
+
+TEST(Hkdf, MaximumLengthKnownAnswer) {
+  // 255 blocks: the counter byte runs from 1 to 0xff.
+  const Bytes okm =
+      hkdf(bytes_of("salt"), pattern(22, 0x0b), bytes_of("info"), 255 * 32);
+  ASSERT_EQ(okm.size(), 255u * 32);
+  EXPECT_EQ(to_hex(sha256(okm)),
+            "c39758cde5cf1867874fc3cc7443776bbcfbc47b900bfaad75d3463f977fdc5d");
+  EXPECT_EQ(to_hex(BytesView(okm).subspan(okm.size() - 32)),
+            "71c222174fa80dad25fedb353f190d0048be53ff64e399f3fcadaab3eca3646d");
 }
 
 TEST(Hkdf, LengthLimitEnforced) {
@@ -358,6 +493,181 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, AeadBackends,
                                       ? "ChaCha20"
                                       : "Aes256Ctr";
                          });
+
+TEST(Aead, KnownAnswerVectors) {
+  // The sealed bytes: nonce || body || tag, where the tag covers the nonce,
+  // the aad length as a little-endian u64, the aad and the body.
+  struct Vector {
+    CipherBackend backend;
+    std::size_t body_len;
+    bool envelope_aad;
+    const char* sealed_hex;
+  };
+  const Vector vectors[] = {
+    {CipherBackend::kChaCha20, 0, false,
+     "a0bfdefd1c3b5a7998b7d6f574651ab1bad02629be6b3d3e2cd1f7a391895242"
+     "2ce5c74eddb0305dc6a279c4"},
+    {CipherBackend::kChaCha20, 0, true,
+     "a0bfdefd1c3b5a7998b7d6f5a648923150ea55ed65aa38fb81f382d684533a07"
+     "de6b0e4400f3c9617efc03a4"},
+    {CipherBackend::kChaCha20, 1, false,
+     "a0bfdefd1c3b5a7998b7d6f52f52c50105a1648d4873714b617e5b93b44bde27"
+     "785ee31e293d309c24958d9828"},
+    {CipherBackend::kChaCha20, 1, true,
+     "a0bfdefd1c3b5a7998b7d6f52fbc2fbc05f9a57ee4f8a184d3f149cd754a0e00"
+     "2f71709c3c9306e2575ccfebb4"},
+    {CipherBackend::kChaCha20, 84, false,
+     "a0bfdefd1c3b5a7998b7d6f52ff6281fdb51584c9ad827fcf9a1ad619866bf22"
+     "c846c816e11a14a23ad48ba48a4d1e945c55ba30bfb26d2909cfd09fe5213640"
+     "4dfc36e0a184695ca3bb259dca6c4f639277e0bbd4158c10ee4d301dc4aec581"
+     "b511f5c858dae0471af1db9574fe50e00b644a4abdf816569218f907a0ea532d"},
+    {CipherBackend::kChaCha20, 84, true,
+     "a0bfdefd1c3b5a7998b7d6f52ff6281fdb51584c9ad827fcf9a1ad619866bf22"
+     "c846c816e11a14a23ad48ba48a4d1e945c55ba30bfb26d2909cfd09fe5213640"
+     "4dfc36e0a184695ca3bb259dca6c4f639277e0bbd4158c10ee4d301dc4aec581"
+     "8ff92c3f4ff208e9339af869bbd3c39f4b468474674ea0b3207a609ea94b1432"},
+    {CipherBackend::kChaCha20, 700, false,
+     "a0bfdefd1c3b5a7998b7d6f52ff6281fdb51584c9ad827fcf9a1ad619866bf22"
+     "c846c816e11a14a23ad48ba48a4d1e945c55ba30bfb26d2909cfd09fe5213640"
+     "4dfc36e0a184695ca3bb259dca6c4f639277e0bbd4158c10ee4d301dc4aec581"
+     "724eef51547d2ff016448c0a34b6e87b4183baafe15d147639cbca11982fa4ec"
+     "92a4b3f7c012c3236f9e6380204a9b3d41bf3f9d508bf01feb879eefd5bd970b"
+     "9f4ecce1da18e19ada0a66bb08b0e465cc01ea1d6466961b8f1181c0ee30d570"
+     "c04379c368337a71ceda30098da2e0bbd8341a4715d07a1c19f1a7d9bdd02cd7"
+     "3590a10c26a2c39fadb138129989bea084e04cb2aba9e64368719ba8929e5299"
+     "b0e6d719e63a3234e4d6d8a19e706f1bb63cdf84bd41e94ddcd7d7334e8f20c5"
+     "e10f04aadc3eb8b3a2896b13f486c98f56b368cb4d18c124dc4433a4bee5573e"
+     "bbd247d5ed2ea9db4f408745b23815835825100ad90e5cb160d596d5a7b16925"
+     "d7d0fce25cb080003ce67eacfb1780f6c4c26f28ae12d339333576d1e9894816"
+     "9ab76c4af9ee213a04f2c5d21947df8b07dda233d767c4e02fdacd8c5e502785"
+     "0b19b5b0cf7a3c44ea479aaab8d2e80a233130a197fedb2200fac142a659f2b7"
+     "b0bbb483f759055979a41e869396e114a5e0be98da2b629147f9bd7a7589022e"
+     "8710167f78d78ab374cfdb87fa518c2c46973e29d1eb0693df24ec8e874ee0a9"
+     "0d4cabe7df02426aaa8b0f05cc44784eb2f5fcb0755754c06fa0d548563b7895"
+     "3b0e1d4af04b68e5c007b7e61de692aff88bc34fe148331eb51211366753744b"
+     "c81b1fd6c244c0f7e8cec01510015fbb21d655b7205a818bace29d4c822c574e"
+     "fa8389685dfc63d7efa3194a81527e109078081a77fc644074dc1c69c7e30bad"
+     "a7be9b77de8b5c75cf32e14139cd03f0e107abc3faa21def590136e195164911"
+     "3fe9c4d7a8bc4d53a170e8373b91e542ecffce99c4ce82e0afe97eb0839b3bc4"
+     "b70d1e155764289903367b49cf66727f925731906d9a781429146fefef2c7deb"
+     "b6c6e0cacd584e14"},
+    {CipherBackend::kChaCha20, 700, true,
+     "a0bfdefd1c3b5a7998b7d6f52ff6281fdb51584c9ad827fcf9a1ad619866bf22"
+     "c846c816e11a14a23ad48ba48a4d1e945c55ba30bfb26d2909cfd09fe5213640"
+     "4dfc36e0a184695ca3bb259dca6c4f639277e0bbd4158c10ee4d301dc4aec581"
+     "724eef51547d2ff016448c0a34b6e87b4183baafe15d147639cbca11982fa4ec"
+     "92a4b3f7c012c3236f9e6380204a9b3d41bf3f9d508bf01feb879eefd5bd970b"
+     "9f4ecce1da18e19ada0a66bb08b0e465cc01ea1d6466961b8f1181c0ee30d570"
+     "c04379c368337a71ceda30098da2e0bbd8341a4715d07a1c19f1a7d9bdd02cd7"
+     "3590a10c26a2c39fadb138129989bea084e04cb2aba9e64368719ba8929e5299"
+     "b0e6d719e63a3234e4d6d8a19e706f1bb63cdf84bd41e94ddcd7d7334e8f20c5"
+     "e10f04aadc3eb8b3a2896b13f486c98f56b368cb4d18c124dc4433a4bee5573e"
+     "bbd247d5ed2ea9db4f408745b23815835825100ad90e5cb160d596d5a7b16925"
+     "d7d0fce25cb080003ce67eacfb1780f6c4c26f28ae12d339333576d1e9894816"
+     "9ab76c4af9ee213a04f2c5d21947df8b07dda233d767c4e02fdacd8c5e502785"
+     "0b19b5b0cf7a3c44ea479aaab8d2e80a233130a197fedb2200fac142a659f2b7"
+     "b0bbb483f759055979a41e869396e114a5e0be98da2b629147f9bd7a7589022e"
+     "8710167f78d78ab374cfdb87fa518c2c46973e29d1eb0693df24ec8e874ee0a9"
+     "0d4cabe7df02426aaa8b0f05cc44784eb2f5fcb0755754c06fa0d548563b7895"
+     "3b0e1d4af04b68e5c007b7e61de692aff88bc34fe148331eb51211366753744b"
+     "c81b1fd6c244c0f7e8cec01510015fbb21d655b7205a818bace29d4c822c574e"
+     "fa8389685dfc63d7efa3194a81527e109078081a77fc644074dc1c69c7e30bad"
+     "a7be9b77de8b5c75cf32e14139cd03f0e107abc3faa21def590136e195164911"
+     "3fe9c4d7a8bc4d53a170e8373b91e542ecffce99c4ce82e0afe97eb0839b3bc4"
+     "b70d1e1557642899984258e2841adbbd383a7ed0f78e84512de139651ac47fef"
+     "f44f621dfb653840"},
+    {CipherBackend::kAes256Ctr, 0, false,
+     "a0bfdefd1c3b5a7998b7d6f5304ca5ba050ece6426903ed39db10b707a0609b9"
+     "ba7ebda6f8b76dc0914e000f"},
+    {CipherBackend::kAes256Ctr, 0, true,
+     "a0bfdefd1c3b5a7998b7d6f5ef34856008130fe009019d95d18592217bf1972c"
+     "e683d26017187c509a0dc9ac"},
+    {CipherBackend::kAes256Ctr, 1, false,
+     "a0bfdefd1c3b5a7998b7d6f5f7091f1c8de7fd97d91ed4f54c31374ced39a41c"
+     "4ec00db29b93073337bceb7118"},
+    {CipherBackend::kAes256Ctr, 1, true,
+     "a0bfdefd1c3b5a7998b7d6f5f7d22b8baab6bfc5f144792bc3ba44557c53508d"
+     "ffeceefe6b5234e4628c55eb99"},
+    {CipherBackend::kAes256Ctr, 84, false,
+     "a0bfdefd1c3b5a7998b7d6f5f7d158333ae0ca0bef23310f0c8b9ce2b1d7668c"
+     "272336b58fd61a2e60361c2afbe5eddaa97c3ee41e902571c236aa7ac8aaf3f0"
+     "936a14c9a80f6911a48ac1ad833dd1e89f6fedda5e9cfbf66891d686298edef9"
+     "f042f9fefa77d2f44ca9eaabad7ae2f94fda6c9c237d4fbaaca302d917c4130f"},
+    {CipherBackend::kAes256Ctr, 84, true,
+     "a0bfdefd1c3b5a7998b7d6f5f7d158333ae0ca0bef23310f0c8b9ce2b1d7668c"
+     "272336b58fd61a2e60361c2afbe5eddaa97c3ee41e902571c236aa7ac8aaf3f0"
+     "936a14c9a80f6911a48ac1ad833dd1e89f6fedda5e9cfbf66891d686298edef9"
+     "36c402cd39a1d816456d0594da7cabe4304685cac7fbcf58efff8052915e7901"},
+    {CipherBackend::kAes256Ctr, 700, false,
+     "a0bfdefd1c3b5a7998b7d6f5f7d158333ae0ca0bef23310f0c8b9ce2b1d7668c"
+     "272336b58fd61a2e60361c2afbe5eddaa97c3ee41e902571c236aa7ac8aaf3f0"
+     "936a14c9a80f6911a48ac1ad833dd1e89f6fedda5e9cfbf66891d686298edef9"
+     "9e23a595bebf5239907d7d676a75d201ad579166085941acb2d1987737b5273b"
+     "270329fe3c7ddbaf84b7fcfa235f754b6dde4cf17cff371b2d60192bc55e1c8f"
+     "d9a1b9c67579eb41228213852a670f5d448315744bf806aaf43a755a8b8b40e9"
+     "7f8398cc228912b83bde5b767e1f71ff1e3a9becf752e8eb8ffba04f0dcacb3f"
+     "a294a8c7f88bf63bade757e1e5d8398cbcaa1b0bc878a257c0aaef1e0b74f1a5"
+     "c11f0710d7ce7c6e6dcb017c60c7037351308e1d33284bee532fcc68a95bb23e"
+     "2ea24a3d7e3a941efb1b0a0d5f94cd536190b201106ea075e5328b35fbecda7a"
+     "bbd55ed6e753b19e0f337b923d7ee81aed72c5253722629454ae8082dda65a5a"
+     "c9427bdd3ef2ba61ebad84b072461c5d39b41aa2d6e9327ba84ac5dc7dd32ead"
+     "7a2a7d4f0706b93da47dbfca268a3ab92e9ee7d19c01c0796d1241a363c40837"
+     "ae476c83f62947b20db678640f6051bdb49e79bfbab7f09d65da6f2860db39ed"
+     "5e4a091c3f3f0c28cfc1426da9afb309b59cec6171860d812a2138c3216e0436"
+     "5e64e0e420145f7b7de31fb56dc27f983ac2f200c66f0e70b2aec80ba6746cbf"
+     "a8ce8fea20e4f78bab560d8c063296431d389c81670307c575d3cc878a8ea6ca"
+     "d1fb5a4819927624ed6cc5794036857c93b0d7d2d2ff6a52ecbccdac5faa5e04"
+     "e92895888291b4e14d8357d780961cf85c67de4bcf55d8fac0e5c37211f9233c"
+     "bba5a833130aaaf704c14573f8a3ab3d4def6c0294d48bcc0ab25d7fb541f4f0"
+     "3ca58e46ec73323c9430ab8492e738ca636164112382428a63fe4d3c3563e951"
+     "b90894aabaa8c246cabd54a3d544c5c653420c5fdc751ecf7c1b975a9d5a6e64"
+     "c0a2975cd981cf63846da6c5cd31248bef9d3328d89a1471ca2373e22da45dde"
+     "b8afdb9522d47df6"},
+    {CipherBackend::kAes256Ctr, 700, true,
+     "a0bfdefd1c3b5a7998b7d6f5f7d158333ae0ca0bef23310f0c8b9ce2b1d7668c"
+     "272336b58fd61a2e60361c2afbe5eddaa97c3ee41e902571c236aa7ac8aaf3f0"
+     "936a14c9a80f6911a48ac1ad833dd1e89f6fedda5e9cfbf66891d686298edef9"
+     "9e23a595bebf5239907d7d676a75d201ad579166085941acb2d1987737b5273b"
+     "270329fe3c7ddbaf84b7fcfa235f754b6dde4cf17cff371b2d60192bc55e1c8f"
+     "d9a1b9c67579eb41228213852a670f5d448315744bf806aaf43a755a8b8b40e9"
+     "7f8398cc228912b83bde5b767e1f71ff1e3a9becf752e8eb8ffba04f0dcacb3f"
+     "a294a8c7f88bf63bade757e1e5d8398cbcaa1b0bc878a257c0aaef1e0b74f1a5"
+     "c11f0710d7ce7c6e6dcb017c60c7037351308e1d33284bee532fcc68a95bb23e"
+     "2ea24a3d7e3a941efb1b0a0d5f94cd536190b201106ea075e5328b35fbecda7a"
+     "bbd55ed6e753b19e0f337b923d7ee81aed72c5253722629454ae8082dda65a5a"
+     "c9427bdd3ef2ba61ebad84b072461c5d39b41aa2d6e9327ba84ac5dc7dd32ead"
+     "7a2a7d4f0706b93da47dbfca268a3ab92e9ee7d19c01c0796d1241a363c40837"
+     "ae476c83f62947b20db678640f6051bdb49e79bfbab7f09d65da6f2860db39ed"
+     "5e4a091c3f3f0c28cfc1426da9afb309b59cec6171860d812a2138c3216e0436"
+     "5e64e0e420145f7b7de31fb56dc27f983ac2f200c66f0e70b2aec80ba6746cbf"
+     "a8ce8fea20e4f78bab560d8c063296431d389c81670307c575d3cc878a8ea6ca"
+     "d1fb5a4819927624ed6cc5794036857c93b0d7d2d2ff6a52ecbccdac5faa5e04"
+     "e92895888291b4e14d8357d780961cf85c67de4bcf55d8fac0e5c37211f9233c"
+     "bba5a833130aaaf704c14573f8a3ab3d4def6c0294d48bcc0ab25d7fb541f4f0"
+     "3ca58e46ec73323c9430ab8492e738ca636164112382428a63fe4d3c3563e951"
+     "b90894aabaa8c246cabd54a3d544c5c653420c5fdc751ecf7c1b975a9d5a6e64"
+     "c0a2975cd981cf63243f23392c4710fbdb14072e3846a0d936c26ff6227e6ae2"
+     "690fa95f0e18c310"},
+  };
+  const SymmetricKey key = SymmetricKey::from_bytes(pattern(32, 0x00));
+  const Bytes nonce = pattern(12, 0xa0);
+  // The 30-byte aad the onion gives column 1's envelopes.
+  BinaryWriter w;
+  w.str("emergence/onion/envelope");
+  w.u16(1);
+  const Bytes envelope_aad = w.take();
+  ASSERT_EQ(envelope_aad.size(), 30u);
+  for (const Vector& v : vectors) {
+    const Bytes aad = v.envelope_aad ? envelope_aad : Bytes{};
+    const Bytes plaintext = pattern(v.body_len, 0x07);
+    const Bytes sealed = aead_seal(key, nonce, plaintext, aad, v.backend);
+    EXPECT_EQ(to_hex(sealed), v.sealed_hex)
+        << "backend " << static_cast<int>(v.backend) << ", body "
+        << v.body_len << ", aad " << aad.size();
+    EXPECT_EQ(aead_open(key, from_hex(v.sealed_hex), aad, v.backend),
+              plaintext);
+  }
+}
 
 TEST(SymmetricKey, FromBytesValidatesLength) {
   EXPECT_THROW(SymmetricKey::from_bytes(Bytes(31, 0)), PreconditionError);
