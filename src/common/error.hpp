@@ -9,6 +9,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace emergence {
 
@@ -42,9 +43,10 @@ class ProtocolError : public Error {
   using Error::Error;
 };
 
-/// Throws PreconditionError with `msg` when `cond` is false.
-inline void require(bool cond, const std::string& msg) {
-  if (!cond) throw PreconditionError(msg);
+/// Throws PreconditionError with `msg` when `cond` is false. A check that
+/// passes builds no std::string, even for a literal message.
+inline void require(bool cond, std::string_view msg) {
+  if (!cond) throw PreconditionError(std::string(msg));
 }
 
 }  // namespace emergence

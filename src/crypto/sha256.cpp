@@ -182,9 +182,7 @@ Sha256::Sha256()
              0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
 void Sha256::update(BytesView data) {
-  // Not require(): it would build its std::string message, a heap
-  // allocation, on every call of this hot path.
-  if (finalized_) throw PreconditionError("Sha256::update after finalize");
+  require(!finalized_, "Sha256::update after finalize");
   // An empty view may carry a null data(), which memcpy must never see.
   if (data.empty()) return;
   total_len_ += data.size();
@@ -211,7 +209,7 @@ void Sha256::update(BytesView data) {
 }
 
 std::array<std::uint8_t, Sha256::kDigestSize> Sha256::finalize() {
-  if (finalized_) throw PreconditionError("Sha256::finalize called twice");
+  require(!finalized_, "Sha256::finalize called twice");
   finalized_ = true;
 
   // The buffered bytes, 0x80, zero padding and the big-endian bit length:

@@ -71,18 +71,6 @@ std::uint64_t NodeId::distance_low64(const NodeId& other) const {
   return low;
 }
 
-bool in_open_interval(const NodeId& x, const NodeId& a, const NodeId& b) {
-  if (a < b) return a < x && x < b;
-  if (a > b) return x > a || x < b;  // interval wraps through zero
-  return false;                      // (a, a) is empty
-}
-
-bool in_half_open_interval(const NodeId& x, const NodeId& a, const NodeId& b) {
-  if (x == b) return true;
-  if (a == b) return x != a;  // (a, a] covers the whole ring except... a==b
-  return in_open_interval(x, a, b);
-}
-
 std::size_t NodeIdHash::operator()(const NodeId& id) const {
   std::uint64_t v;
   std::memcpy(&v, id.bytes().data(), sizeof(v));

@@ -9,10 +9,7 @@
 namespace emergence::sim {
 
 Time TimerQueue::deadline_in(Time now, Time delay) {
-  // Thrown directly, not through require(): this runs on every schedule_in.
-  if (!(delay >= 0.0)) {
-    throw PreconditionError("schedule_in: negative or NaN delay");
-  }
+  require(delay >= 0.0, "schedule_in: negative or NaN delay");
   return now + delay;
 }
 
@@ -26,7 +23,7 @@ EventId TimerQueue::id_of(std::uint32_t slot) const {
 }
 
 TimerQueue::Item TimerQueue::admit(Time at, Time now, Action&& action) {
-  if (std::isnan(at)) throw PreconditionError("schedule_at: NaN deadline");
+  require(!std::isnan(at), "schedule_at: NaN deadline");
   if (at < now) at = now;
   std::uint32_t slot;
   if (free_.empty()) {

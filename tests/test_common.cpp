@@ -1,9 +1,12 @@
-// Unit tests for the common utilities: bytes, hex, serialization, RNG,
-// binomial math and statistics accumulators.
+// Unit tests for the common utilities: checks, bytes, hex, serialization,
+// RNG, binomial math and statistics accumulators.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -16,8 +19,42 @@
 #include "common/serial.hpp"
 #include "common/stats.hpp"
 
+namespace {
+// Every operator new this binary makes, so a test can show a path makes none.
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+// All three out of line, so GCC's -Wmismatched-new-delete never sees an
+// inlined malloc() or free() paired with the other side's operator.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace emergence {
 namespace {
+
+// -- require ------------------------------------------------------------------
+
+TEST(Require, PassingCheckDoesNotAllocate) {
+  // The message is longer than libstdc++'s 15-character inline string
+  // buffer, so building a std::string from it would allocate.
+  const std::size_t before = g_allocations.load();
+  for (int i = 0; i < 1000; ++i)
+    require(true, "a passing check builds no message");
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  try {
+    require(false, "a passing check builds no message");
+    ADD_FAILURE() << "require(false, ...) did not throw";
+  } catch (const PreconditionError& e) {
+    EXPECT_STREQ(e.what(), "a passing check builds no message");
+  }
+}
 
 // -- bytes --------------------------------------------------------------------
 

@@ -121,6 +121,64 @@ TEST(NodeId, HalfOpenIntervalFullRing) {
   EXPECT_TRUE(in_half_open_interval(a, a, a));
 }
 
+// The ring order by definition: big-endian bytes, compared one by one.
+int byte_order(const NodeId& x, const NodeId& y) {
+  const auto& p = x.bytes();
+  const auto& q = y.bytes();
+  if (std::lexicographical_compare(p.begin(), p.end(), q.begin(), q.end()))
+    return -1;
+  if (std::lexicographical_compare(q.begin(), q.end(), p.begin(), p.end()))
+    return 1;
+  return 0;
+}
+
+bool byte_open_interval(const NodeId& x, const NodeId& a, const NodeId& b) {
+  const int ab = byte_order(a, b);
+  if (ab < 0) return byte_order(a, x) < 0 && byte_order(x, b) < 0;
+  if (ab > 0) return byte_order(x, a) > 0 || byte_order(x, b) < 0;
+  return false;
+}
+
+bool byte_half_open_interval(const NodeId& x, const NodeId& a,
+                             const NodeId& b) {
+  if (byte_order(x, b) == 0) return true;
+  if (byte_order(a, b) == 0) return byte_order(x, a) != 0;
+  return byte_open_interval(x, a, b);
+}
+
+TEST(NodeId, WordOrderMatchesByteOrder) {
+  // NodeId compares three big-endian words (bytes 0-7, 8-15, 12-19). Ids
+  // that share a random 0-19 byte prefix first differ inside each word in
+  // turn, and every ordered triple of three such ids covers a wrapping
+  // interval, a == b, x == a and x == b.
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    Rng rng(seed);
+    const std::size_t prefix = rng.uniform(0, kIdBytes - 1);
+    const Bytes shared = rng.bytes(prefix);
+    std::vector<NodeId> ids;
+    for (int i = 0; i < 3; ++i) {
+      Bytes raw = shared;
+      append(raw, rng.bytes(kIdBytes - prefix));
+      ids.push_back(NodeId::from_bytes(raw));
+    }
+    for (const NodeId& x : ids) {
+      for (const NodeId& y : ids) {
+        const auto order = x <=> y;
+        const int sign = order < 0 ? -1 : order > 0 ? 1 : 0;
+        ASSERT_EQ(sign, byte_order(x, y)) << "seed " << seed;
+        ASSERT_EQ(x == y, byte_order(x, y) == 0) << "seed " << seed;
+        for (const NodeId& z : ids) {
+          ASSERT_EQ(in_open_interval(x, y, z), byte_open_interval(x, y, z))
+              << "seed " << seed;
+          ASSERT_EQ(in_half_open_interval(x, y, z),
+                    byte_half_open_interval(x, y, z))
+              << "seed " << seed;
+        }
+      }
+    }
+  }
+}
+
 // -- network fixtures --------------------------------------------------------------
 
 struct TestNet {
