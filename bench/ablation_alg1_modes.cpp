@@ -18,8 +18,9 @@ using namespace emergence::core;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = emergence::bench::parse_runs(argc, argv, 500);
-  SweepRunner runner = emergence::bench::make_runner(argc, argv);
+  const auto [runs, threads] =
+      emergence::bench::parse_sweep_flags(argc, argv, 500);
+  SweepRunner runner(SweepOptions{threads});
   std::cout << "# == Ablation: Algorithm 1 modes (share scheme, alpha = 3) ==\n"
             << "# as_printed / independent / stochastic: analytic R of each "
                "mode\n"

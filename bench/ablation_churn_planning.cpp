@@ -19,8 +19,9 @@ using namespace emergence::core;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = emergence::bench::parse_runs(argc, argv, 500);
-  SweepRunner runner = emergence::bench::make_runner(argc, argv);
+  const auto [runs, threads] =
+      emergence::bench::parse_sweep_flags(argc, argv, 500);
+  SweepRunner runner(SweepOptions{threads});
   std::cout << "# == Ablation: attack-only vs churn-aware planning "
                "(joint scheme) ==\n"
             << "# Monte-Carlo R under churn for both planners' geometries, "

@@ -20,7 +20,8 @@ using namespace emergence::core;
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  emergence::bench::parse_flags(argc, argv);
   const double p = 0.3;
   std::cout << "# == Ablation: joint-scheme geometry trade-off at p = 0.3 ==\n"
             << "# Rr falls and Rd rises with k; the reverse with l; "

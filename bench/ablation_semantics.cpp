@@ -23,8 +23,9 @@ using namespace emergence::core;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = emergence::bench::parse_runs(argc, argv);
-  SweepRunner runner = emergence::bench::make_runner(argc, argv);
+  const auto [runs, threads] =
+      emergence::bench::parse_sweep_flags(argc, argv, 1000);
+  SweepRunner runner(SweepOptions{threads});
   std::cout
       << "# == Ablation: strict (at-ts) vs early-restore release semantics ==\n"
       << "# geometry fixed at the joint scheme, k = 4, l = 8, N = 10000.\n"

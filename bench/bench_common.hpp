@@ -1,10 +1,9 @@
-// Shared plumbing for the figure-reproduction benches: the p sweep of the
-// paper's evaluation, --runs/--threads flags, headers that echo the
-// experimental setup, and the machine-readable BENCH_*.json artifact every
-// sweep emits for trajectory tracking.
+// Shared plumbing for the bench drivers: the p sweep of the paper's
+// evaluation, the one flag parser every driver goes through, headers that
+// echo the experimental setup, and the machine-readable BENCH_*.json
+// artifact every driver emits for trajectory tracking.
 #pragma once
 
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -13,8 +12,11 @@
 #include <iostream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/options.hpp"
 #include "common/stats.hpp"
 #include "emerge/experiment/table.hpp"
 #include "emerge/monte_carlo.hpp"
@@ -30,62 +32,50 @@ inline std::vector<double> paper_p_sweep(double step = 0.05) {
   return ps;
 }
 
-/// Parses a non-negative integer flag/env value; malformed input falls back
-/// to `fallback` with a stderr note instead of aborting the whole bench on
-/// an uncaught std::stoul exception.
-inline std::size_t parse_count(const std::string& text, std::size_t fallback,
-                               const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  // The '-' check matters: strtoull happily wraps "-100" to 2^64-100.
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-      text.find('-') != std::string::npos) {
-    std::cerr << "# warning: ignoring malformed " << what << " value '"
-              << text << "'\n";
-    return fallback;
+/// Parses argv through `flags`, the one flag parser of every driver.
+/// --help prints the flag table and exits 0; an unknown flag, a malformed
+/// value or a positional argument prints OptionTable's diagnostic and
+/// exits 2.
+inline void parse_flags(int argc, char** argv, OptionTable flags = {}) {
+  bool help = false;
+  flags.add_flag("help", "print this flag table and exit", &help);
+  try {
+    const std::vector<std::string> positional = flags.parse_cli(argc, argv);
+    if (!positional.empty()) {
+      throw PreconditionError("unexpected argument '" + positional.front() +
+                              "'");
+    }
+  } catch (const Error& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    std::exit(2);
   }
-  return static_cast<std::size_t>(value);
+  if (help) {
+    std::cout << "usage: " << argv[0] << " [--flag=VALUE ...]\n"
+              << flags.help();
+    std::exit(0);
+  }
 }
 
-/// Parses "--runs=N" (and "--quick" as a 100-run alias) from argv; defaults
-/// to the paper's 1000 repetitions. EMERGENCE_BENCH_RUNS overrides both.
-inline std::size_t parse_runs(int argc, char** argv,
-                              std::size_t default_runs = 1000) {
-  std::size_t runs = default_runs;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--runs=", 0) == 0)
-      runs = parse_count(arg.substr(7), runs, "--runs");
-    if (arg == "--quick") runs = 100;
-  }
-  if (const char* env = std::getenv("EMERGENCE_BENCH_RUNS")) {
-    runs = parse_count(env, runs, "EMERGENCE_BENCH_RUNS");
-  }
-  return runs;
-}
+/// --runs and --threads, the flags every Monte-Carlo driver takes.
+struct SweepFlags {
+  std::size_t runs;
+  std::size_t threads = 0;  ///< 0 = auto; never changes a number
+};
 
-/// Parses "--threads=N" from argv (EMERGENCE_BENCH_THREADS overrides).
-/// 0 = auto (SweepRunner resolves it to the hardware concurrency). The
-/// thread count never changes bench numbers, only wall-clock time.
-inline std::size_t parse_threads(int argc, char** argv) {
-  std::size_t threads = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--threads=", 0) == 0)
-      threads = parse_count(arg.substr(10), threads, "--threads");
-  }
-  if (const char* env = std::getenv("EMERGENCE_BENCH_THREADS")) {
-    threads = parse_count(env, threads, "EMERGENCE_BENCH_THREADS");
-  }
-  return threads;
-}
-
-/// Builds the sweep engine every bench driver shares, honoring --threads.
-inline core::SweepRunner make_runner(int argc, char** argv) {
-  core::SweepOptions options;
-  options.threads = parse_threads(argc, argv);
-  return core::SweepRunner(options);
+/// Parses the sweep flags, with `runs` as the default, plus a driver's own
+/// `extra` flags, as parse_flags does.
+inline SweepFlags parse_sweep_flags(int argc, char** argv, std::size_t runs,
+                                    OptionTable extra = {}) {
+  SweepFlags flags{runs};
+  extra.add_size("runs",
+                 "Monte-Carlo runs per point (default " +
+                     std::to_string(runs) + ")",
+                 &flags.runs);
+  extra.add_size("threads",
+                 "worker threads (0 = auto; never changes a number)",
+                 &flags.threads);
+  parse_flags(argc, argv, std::move(extra));
+  return flags;
 }
 
 inline void print_setup(const std::string& figure, std::size_t runs) {
@@ -124,9 +114,8 @@ class WallTimer {
 //
 // "scenario" names what was run (a workload scenario, a figure, a pinned
 // matrix) and "root_seed" is the seed the whole artifact derives from, so
-// any tracked run can be replayed exactly. Drivers go through BenchReport
-// below — the one shared writer — instead of hand-rolling the
-// timer/json/write triple.
+// any tracked run can be replayed exactly. BenchReport below is the one
+// writer.
 
 /// Bumped whenever the artifact layout changes shape: 2 added
 /// schema_version itself, scenario and root_seed; 3 added the "metrics"
@@ -159,11 +148,18 @@ inline void json_number(std::ostream& os, double v) {
   os.precision(old_precision);
 }
 
-/// Collects tables plus run metadata and serializes them as one JSON file.
-class BenchJson {
+/// The one writer of bench artifacts: collects tables, extra scalars and
+/// a metrics block under the run's context (scenario + root seed), times
+/// the run from construction, and writes BENCH_<bench>.json once.
+class BenchReport {
  public:
-  BenchJson(std::string bench, std::size_t runs, std::size_t threads)
-      : bench_(std::move(bench)), runs_(runs), threads_(threads) {}
+  BenchReport(std::string bench, std::size_t runs, std::size_t threads,
+              std::string scenario, std::uint64_t root_seed)
+      : bench_(std::move(bench)),
+        scenario_(std::move(scenario)),
+        root_seed_(root_seed),
+        runs_(runs),
+        threads_(threads) {}
 
   void add_table(const core::FigureTable& table) { tables_.push_back(table); }
 
@@ -172,20 +168,15 @@ class BenchJson {
     extra_.emplace_back(key, value);
   }
 
-  /// Names the scenario the artifact describes and the root seed it can be
-  /// replayed from (schema v2 fields; every driver sets them).
-  void set_context(std::string scenario, std::uint64_t root_seed) {
-    scenario_ = std::move(scenario);
-    root_seed_ = root_seed;
-  }
-
   /// The artifact's metrics block (schema v3): publish stats structs onto
-  /// it via obs::publish before write().
+  /// it via obs::publish before finish().
   obs::MetricsRegistry& metrics() { return metrics_; }
 
-  /// Writes BENCH_<bench>.json into `dir` (default: the working directory,
-  /// overridable with EMERGENCE_BENCH_JSON_DIR). Returns the path written.
-  std::string write(double wall_seconds) const {
+  /// Writes BENCH_<bench>.json into the working directory
+  /// (EMERGENCE_BENCH_JSON_DIR overrides); wall_seconds defaults to this
+  /// report's lifetime.
+  void finish() const { finish(timer_.seconds()); }
+  void finish(double wall_seconds) const {
     std::string dir = ".";
     if (const char* env = std::getenv("EMERGENCE_BENCH_JSON_DIR")) dir = env;
     const std::string path = dir + "/BENCH_" + bench_ + ".json";
@@ -193,7 +184,7 @@ class BenchJson {
     if (!os) {
       std::cerr << "# warning: could not open " << path
                 << " for writing; no JSON artifact emitted\n";
-      return path;
+      return;
     }
     os << "{\n  \"schema_version\": " << kBenchSchemaVersion
        << ",\n  \"bench\": ";
@@ -239,46 +230,18 @@ class BenchJson {
     }
     os << "\n  ]\n}\n";
     std::cout << "# json: " << path << "\n";
-    return path;
   }
 
  private:
+  WallTimer timer_;
   std::string bench_;
   std::string scenario_;
-  std::uint64_t root_seed_ = 0;
+  std::uint64_t root_seed_;
   std::size_t runs_;
   std::size_t threads_;
   std::vector<std::pair<std::string, double>> extra_;
   std::vector<core::FigureTable> tables_;
   obs::MetricsRegistry metrics_;
-};
-
-/// The one shared emission path for bench artifacts: owns the wall timer
-/// and the BenchJson, carries the schema-v2 context (scenario + root
-/// seed), and writes exactly once. Replaces the per-driver
-/// timer/json/write triple every bench/*.cpp used to hand-roll.
-class BenchReport {
- public:
-  BenchReport(std::string bench, std::size_t runs, std::size_t threads,
-              std::string scenario, std::uint64_t root_seed)
-      : json_(std::move(bench), runs, threads) {
-    json_.set_context(std::move(scenario), root_seed);
-  }
-
-  void add_table(const core::FigureTable& table) { json_.add_table(table); }
-  void set_extra(const std::string& key, double value) {
-    json_.set_extra(key, value);
-  }
-  obs::MetricsRegistry& metrics() { return json_.metrics(); }
-  double elapsed_seconds() const { return timer_.seconds(); }
-
-  /// Writes the artifact; wall_seconds defaults to this report's lifetime.
-  std::string finish() { return json_.write(timer_.seconds()); }
-  std::string finish(double wall_seconds) { return json_.write(wall_seconds); }
-
- private:
-  WallTimer timer_;
-  BenchJson json_;
 };
 
 /// Appends delivery-latency percentiles (p50/p99/max, in virtual seconds

@@ -6,12 +6,12 @@
 // Any gated divergence beyond the two-sample binomial bound exits nonzero —
 // by construction that is a bug in one of the engines, not noise (see
 // docs/architecture.md, "Two engines, one truth"). CI runs this as a smoke
-// job with a reduced population and run count and uploads the JSON
+// job at the default run count and population and uploads the JSON
 // artifact.
 //
-// Flags: --runs=N (full-stack worlds per scenario, default 300), --quick
-// (100), --threads=N (0 = auto; never changes results), --population=N
-// (DHT size per world, default 100).
+// Flags: --runs=N (full-stack worlds per scenario, default 300),
+// --threads=N (0 = auto; never changes results), --population=N (DHT size
+// per world, default 100).
 #include <iostream>
 #include <string>
 
@@ -24,28 +24,20 @@ namespace {
 using namespace emergence::core;
 using namespace emergence::workload;
 
-std::size_t parse_population(int argc, char** argv) {
-  std::size_t population = 100;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--population=", 0) == 0) {
-      population = emergence::bench::parse_count(arg.substr(13), population,
-                                                 "--population");
-    }
-  }
-  return population;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = emergence::bench::parse_runs(argc, argv, 300);
-  const std::size_t population = parse_population(argc, argv);
+  std::size_t population = 100;
+  emergence::OptionTable extra;
+  extra.add_size("population", "DHT size per world (default 100)",
+                 &population);
+  const auto [runs, threads] =
+      emergence::bench::parse_sweep_flags(argc, argv, 300, std::move(extra));
   // Stat-engine runs are ~1000x cheaper than full-stack worlds; a larger
   // sample shrinks its share of the comparison bound to near nothing.
   const std::size_t stat_runs = std::max<std::size_t>(2000, 20 * runs);
 
-  SweepRunner sweeps = emergence::bench::make_runner(argc, argv);
+  SweepRunner sweeps(SweepOptions{threads});
 
   std::cout << "# == e2e cross-validation: full stack vs stat engine ==\n"
             << "# setup: " << runs << " full-stack worlds vs " << stat_runs

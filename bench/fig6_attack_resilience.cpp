@@ -46,8 +46,9 @@ FigureTable run_panel(SweepRunner& runner, const std::string& title,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = emergence::bench::parse_runs(argc, argv);
-  SweepRunner runner = emergence::bench::make_runner(argc, argv);
+  const auto [runs, threads] =
+      emergence::bench::parse_sweep_flags(argc, argv, 1000);
+  SweepRunner runner(SweepOptions{threads});
   emergence::bench::print_setup(
       "Fig. 6(a)/(c): attack resilience vs malicious rate", runs);
   emergence::bench::BenchReport json("fig6_attack_resilience", runs,

@@ -37,8 +37,7 @@ FigureTable run_panel(const std::string& title, std::size_t budget) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)argc;
-  (void)argv;
+  emergence::bench::parse_flags(argc, argv);
   std::cout << "# == Fig. 6(b)/(d): required nodes vs malicious rate ==\n"
             << "# planner: cheapest geometry within 1e-4 of the best "
                "min(Rr, Rd) under the budget.\n\n";

@@ -49,8 +49,9 @@ FigureTable run_panel(SweepRunner& runner, double alpha, std::size_t runs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = emergence::bench::parse_runs(argc, argv, 500);
-  SweepRunner runner = emergence::bench::make_runner(argc, argv);
+  const auto [runs, threads] =
+      emergence::bench::parse_sweep_flags(argc, argv, 500);
+  SweepRunner runner(SweepOptions{threads});
   emergence::bench::print_setup(
       "Fig. 7: churn resilience, alpha = T / node lifetime", runs);
   emergence::bench::BenchReport json("fig7_churn_resilience", runs,

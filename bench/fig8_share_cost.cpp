@@ -16,8 +16,9 @@ using namespace emergence::core;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = emergence::bench::parse_runs(argc, argv);
-  SweepRunner runner = emergence::bench::make_runner(argc, argv);
+  const auto [runs, threads] =
+      emergence::bench::parse_sweep_flags(argc, argv, 1000);
+  SweepRunner runner(SweepOptions{threads});
   emergence::bench::print_setup(
       "Fig. 8: key-share routing cost (node budget) sweep, alpha = 3", runs);
   emergence::bench::BenchReport json("fig8_share_cost", runs, runner.threads(),

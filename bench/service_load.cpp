@@ -72,12 +72,10 @@ using workload::ScenarioSpec;
 
 struct Options {
   std::string scenario;
-  bool help = false;
   bool list = false;
   bool matrix = false;
   bool check_invariance = false;
   bool progress = false;
-  bool quick = false;  // accepted for bench-harness symmetry; no effect here
   std::size_t population = 0;  // 0 = scenario default
   std::size_t sessions = 0;
   std::size_t worlds = 0;
@@ -97,13 +95,11 @@ struct Options {
 void add_load_options(OptionTable& table, Options& o) {
   table.add_string("scenario", "NAME[:k=v,...]",
                    "scenario to run (parse_scenario syntax)", &o.scenario);
-  table.add_flag("help", "print this help and exit", &o.help);
   table.add_flag("list-scenarios", "print the registry and exit", &o.list);
   table.add_flag("matrix", "run every named scenario", &o.matrix);
   table.add_flag("check-invariance", "1-vs-8-thread bit-identity gate",
                  &o.check_invariance);
   table.add_flag("progress", "heartbeat lines on long runs", &o.progress);
-  table.add_flag("quick", "accepted for bench-harness symmetry", &o.quick);
   table.add_size("population", "override the scenario population",
                  &o.population);
   table.add_size("sessions", "override the session budget", &o.sessions);
@@ -274,20 +270,7 @@ int main(int argc, char** argv) {
   Options o;
   OptionTable cli;
   add_load_options(cli, o);
-  try {
-    cli.parse_cli(argc, argv);
-  } catch (const Error& e) {
-    std::cerr << "service_load: " << e.what() << "\n";
-    return 2;
-  }
-  if (const char* env = std::getenv("EMERGENCE_BENCH_THREADS")) {
-    o.threads = bench::parse_count(env, o.threads, "EMERGENCE_BENCH_THREADS");
-  }
-  if (o.help) {
-    std::cout << "service_load: open-loop session fleets over shared worlds\n"
-              << cli.help();
-    return 0;
-  }
+  bench::parse_flags(argc, argv, std::move(cli));
   if (o.list) {
     list_scenarios();
     return 0;

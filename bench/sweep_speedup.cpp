@@ -62,8 +62,7 @@ bool bit_identical(const EvalResult& a, const EvalResult& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = emergence::bench::parse_runs(argc, argv);
-  std::size_t threads = emergence::bench::parse_threads(argc, argv);
+  auto [runs, threads] = emergence::bench::parse_sweep_flags(argc, argv, 1000);
   if (threads == 0) threads = 8;
 
   std::cout << "# == Sweep engine: serial vs " << threads

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cmath>
 #include <condition_variable>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <functional>
 #include <thread>
@@ -43,18 +40,6 @@ StatRunOutcome dispatch_run(SchemeKind kind, const PathShape& shape,
 }
 
 std::size_t resolve_threads(std::size_t requested) {
-  if (requested == 0) {
-    if (const char* env = std::getenv("EMERGENCE_SWEEP_THREADS")) {
-      // Strict parse: malformed or negative values fall back to auto rather
-      // than wrapping (e.g. "-1" via strtoull would clamp to the cap).
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long value = std::strtoull(env, &end, 10);
-      const bool valid = end != env && *end == '\0' && errno != ERANGE &&
-                         std::strchr(env, '-') == nullptr;
-      if (valid) requested = static_cast<std::size_t>(value);
-    }
-  }
   if (requested == 0) requested = std::thread::hardware_concurrency();
   if (requested == 0) requested = 1;
   return std::min<std::size_t>(requested, 256);

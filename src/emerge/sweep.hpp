@@ -47,10 +47,9 @@ namespace emergence::core {
 
 /// Construction-time knobs of a SweepRunner.
 struct SweepOptions {
-  /// Worker threads for the Monte-Carlo shards. 0 means auto: the
-  /// EMERGENCE_SWEEP_THREADS environment variable if set, else
-  /// std::thread::hardware_concurrency(). The value never affects results,
-  /// only wall-clock time.
+  /// Worker threads for the Monte-Carlo shards. 0 means auto:
+  /// std::thread::hardware_concurrency(). Any value is capped at 256. It
+  /// never affects results, only wall-clock time.
   std::size_t threads = 0;
 
   /// Runs per shard. The shard decomposition is a function of the run count

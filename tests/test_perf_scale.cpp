@@ -1,26 +1,32 @@
-// Tests for the large-N machinery behind the perf suite: the sorted
+// Tests for the large-N machinery of the simulation core: the sorted
 // live-ring index (vs brute-force oracles, under interleaved churn), the
 // run-compressed finger table (vs a dense reference model and the naive
 // per-power bootstrap construction), the peer handles routing follows
 // (consistent with their ids under churn and across a same-id rejoin) and
 // the ring they form once transient churn stops,
 // O(log n) lookup-hop growth on 1k vs 10k rings, replica-repair timer
-// cadence, the simulator lanes maintenance timers fire from, and the
-// zero-copy payload guarantees of the SharedBytes refactor.
+// cadence, the simulator lanes maintenance timers fire from, the
+// zero-copy payload guarantees of the SharedBytes refactor, and the exact
+// work counts of four pinned 1k and 10k worlds on both backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
+#include <ostream>
+#include <string>
 #include <vector>
 
+#include "cloud/cloud_store.hpp"
 #include "common/rng.hpp"
 #include "dht/chord_network.hpp"
 #include "dht/churn_driver.hpp"
 #include "dht/finger_table.hpp"
 #include "dht/kademlia.hpp"
 #include "dht/ring_index.hpp"
+#include "emerge/protocol.hpp"
+#include "emerge/session_dispatcher.hpp"
 #include "sim/simulator.hpp"
 
 namespace emergence::dht {
@@ -473,6 +479,121 @@ TEST(ZeroCopy, StoredHandleSurvivesNodeDeath) {
   for (const NodeId& id : ids) net.kill_node(id);
   EXPECT_EQ(string_of(*handle), "still-readable");
 }
+
+// -- four pinned worlds: exact work counts, phase by phase ----------------------
+
+struct PinnedWorld {
+  const char* name;
+  bool chord;  ///< else Kademlia
+  std::size_t population;
+  std::uint64_t lookup_hops;  ///< LookupStats::total_hops of the 2000 lookups
+  std::uint64_t delivered;    ///< of the 4 sessions
+  std::uint64_t churn_deaths;
+  std::uint64_t events;       ///< Simulator::executed_events() at the end
+};
+
+// gtest prints the parameter into each test's listed name; the name keeps
+// it stable (the default byte dump shows the name pointer).
+void PrintTo(const PinnedWorld& w, std::ostream* os) { *os << w.name; }
+
+class PinnedWorldCounts : public ::testing::TestWithParam<PinnedWorld> {};
+
+TEST_P(PinnedWorldCounts, MatchTheirPins) {
+  // One deterministic world per case through four phases: bootstrap, 2000
+  // lookups, 500 puts then gets, and a live phase of maintenance, churn
+  // and 4 joint 2x3 sessions through tr. Every count is exact at the
+  // pinned seed, so a change to routing, storage, churn or the event
+  // schedule of either backend moves one of them.
+  const PinnedWorld& w = GetParam();
+  constexpr double kHorizon = 600.0;
+  sim::Simulator sim;
+  Rng rng(0x9e3779b97f4a7c15ULL ^ w.population);
+
+  std::unique_ptr<ChordNetwork> chord;
+  std::unique_ptr<KademliaNetwork> kademlia;
+  Network* net = nullptr;
+  if (w.chord) {
+    NetworkConfig config;
+    config.run_maintenance = true;
+    config.stabilize_interval = 60.0;
+    config.replica_repair_interval = 240.0;
+    config.exact_join_fingers = false;  // O(log n) joins; fix_fingers converges
+    chord = std::make_unique<ChordNetwork>(sim, rng, config);
+    chord->bootstrap(w.population);
+    net = chord.get();
+  } else {
+    KademliaConfig config;
+    config.run_maintenance = true;
+    config.republish_interval = 240.0;
+    kademlia = std::make_unique<KademliaNetwork>(sim, rng, config);
+    kademlia->bootstrap(w.population);
+    net = kademlia.get();
+  }
+
+  for (std::size_t i = 0; i < 2000; ++i) {
+    net->lookup(NodeId::hash_of_text("perf-lookup-" + std::to_string(i)));
+  }
+  const LookupStats stats =
+      w.chord ? chord->lookup_stats() : kademlia->lookup_stats();
+  EXPECT_EQ(stats.lookups, 2000u);
+  EXPECT_EQ(stats.total_hops, w.lookup_hops);
+  EXPECT_EQ(stats.failures, 0u);
+
+  const SharedBytes value =
+      shared_bytes(Bytes(64, static_cast<std::uint8_t>(0xAB)));
+  for (std::size_t i = 0; i < 500; ++i) {
+    net->put(NodeId::hash_of_text("perf-kv-" + std::to_string(i)), value);
+  }
+  std::size_t misses = 0;
+  for (std::size_t i = 0; i < 500; ++i) {
+    if (net->get(NodeId::hash_of_text("perf-kv-" + std::to_string(i))) ==
+        nullptr) {
+      ++misses;
+    }
+  }
+  EXPECT_EQ(misses, 0u);
+
+  cloud::CloudStore cloud;
+  core::SessionDispatcher dispatcher(*net);
+  std::vector<std::unique_ptr<core::TimedReleaseSession>> sessions;
+  core::SessionConfig config;
+  config.kind = core::SchemeKind::kJoint;
+  config.shape = core::PathShape{2, 3};
+  config.emerging_time = kHorizon;
+  for (std::size_t i = 0; i < 4; ++i) {
+    sessions.push_back(std::make_unique<core::TimedReleaseSession>(
+        core::SessionArgs{net, &cloud, nullptr, config, 0xF00D + i,
+                          &dispatcher}));
+    sessions[i]->send(bytes_of("perf-suite-payload"),
+                      "receiver-" + std::to_string(i));
+  }
+  ChurnConfig churn_config;
+  churn_config.mean_lifetime = 6.0 * kHorizon;
+  churn_config.replace_dead_nodes = true;
+  ChurnDriver churn(*net, churn_config);
+  churn.start();
+  sim.run_until(kHorizon + 5.0);
+  churn.stop();
+
+  std::uint64_t delivered = 0;
+  for (const auto& session : sessions) {
+    if (session->secret_released()) ++delivered;
+  }
+  EXPECT_EQ(delivered, w.delivered);
+  EXPECT_EQ(churn.deaths(), w.churn_deaths);
+  EXPECT_EQ(sim.executed_events(), w.events);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PerfScale, PinnedWorldCounts,
+    ::testing::Values(
+        PinnedWorld{"chord_1000", true, 1000, 9702, 4, 192, 13209},
+        PinnedWorld{"kademlia_1000", false, 1000, 3750, 4, 163, 247},
+        PinnedWorld{"chord_10000", true, 10000, 13039, 4, 1660, 130568},
+        PinnedWorld{"kademlia_10000", false, 10000, 4880, 3, 1615, 1691}),
+    [](const ::testing::TestParamInfo<PinnedWorld>& info) {
+      return std::string(info.param.name);
+    });
 
 // -- Kademlia closest_alive is the indexed query, not a scan -------------------
 

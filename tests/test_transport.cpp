@@ -310,6 +310,11 @@ TEST(TransportGolden, IdealFleetFingerprintUnchangedBitForBit) {
       "metro-diurnal:population=1000,sessions=256,worlds=1,seed=0x60D1E");
   const workload::FleetTally t = workload::run_scenario(sweeps, spec);
   EXPECT_EQ(t.fingerprint(), 11555915086018092724ULL);
+  // The work the fingerprint leaves out: the transport's own digest and
+  // the world queue's events, of which maintenance lanes serve most.
+  EXPECT_EQ(t.transport.fingerprint(), 15401085009837008439ULL);
+  EXPECT_EQ(t.world_events, 3186u);
+  EXPECT_EQ(t.world_lane_fires, 2547u);
   // The explicit net=ideal spelling is the same model.
   const workload::ScenarioSpec explicit_ideal = workload::parse_scenario(
       "metro-diurnal:net=ideal,population=1000,sessions=256,worlds=1,"
@@ -331,6 +336,8 @@ TEST(TransportGolden, LossyShareExecutorFleetFingerprintUnchanged) {
   const workload::FleetTally t = workload::run_scenario(sweeps, spec);
   EXPECT_EQ(t.fingerprint(), 4095196877436334573ULL);
   EXPECT_EQ(t.transport.fingerprint(), 8156097701163546265ULL);
+  EXPECT_EQ(t.world_events, 7433u);
+  EXPECT_EQ(t.world_lane_fires, 6378u);
   EXPECT_GT(t.churn_deaths, 0u);
   EXPECT_GT(t.transport.retried, 0u);
 }
