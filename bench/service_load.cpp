@@ -434,7 +434,9 @@ int main(int argc, char** argv) {
               << "s hop_p99 "
               << static_cast<double>(t.transport.hop_latency_us.percentile(0.99)) *
                      1e-6
-              << "s, fingerprint " << t.fingerprint() << " (transport "
+              << "s, lookups " << t.lookups.lookups << " ("
+              << t.lookups.total_hops << " hops, " << t.lookups.failures
+              << " failed), fingerprint " << t.fingerprint() << " (transport "
               << t.transport.fingerprint() << ")"
               << (out.pass ? "" : "  << FAILED: " + out.failure)
               << "\n\n";

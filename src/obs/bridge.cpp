@@ -116,6 +116,7 @@ void publish(MetricsRegistry& r, const workload::FleetTally& tally,
   r.histogram("emergence_fleet_delivery_latency_us", labels)
       .merge(tally.latency_us);
   publish(r, tally.transport, labels);
+  publish(r, tally.lookups, labels);
 }
 
 }  // namespace emergence::obs

@@ -45,7 +45,8 @@ void publish(MetricsRegistry& registry, const service::DaemonReport& report,
              const Labels& labels = {});
 
 /// Fleet outcomes -> emergence_fleet_* series (includes the tally's
-/// delivery-latency histogram and its embedded TransportStats).
+/// delivery-latency histogram and its embedded TransportStats and
+/// LookupStats).
 void publish(MetricsRegistry& registry, const workload::FleetTally& tally,
              const Labels& labels = {});
 

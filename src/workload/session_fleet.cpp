@@ -52,6 +52,7 @@ void FleetTally::merge(const FleetTally& other) {
   horizon = std::max(horizon, other.horizon);
   worlds += other.worlds;
   transport.merge(other.transport);
+  lookups.merge(other.lookups);
   if (events_per_domain.size() < other.events_per_domain.size()) {
     events_per_domain.resize(other.events_per_domain.size(), 0);
   }
@@ -540,10 +541,8 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
   // Per-domain shards fold back in ascending domain order (the merges are
   // commutative; the fixed order keeps the reduction canonical).
   for (const dht::TransportStats& t : domain_tstats) out.transport.merge(t);
-  dht::LookupStats merged_lookups;
-  for (const dht::LookupStats& l : domain_lstats) merged_lookups.merge(l);
-  if (chord) chord->lookup_stats().merge(merged_lookups);
-  if (kademlia) kademlia->lookup_stats().merge(merged_lookups);
+  out.lookups.merge(chord ? chord->lookup_stats() : kademlia->lookup_stats());
+  for (const dht::LookupStats& l : domain_lstats) out.lookups.merge(l);
   if (churn.has_value()) {
     out.churn_deaths = churn->deaths();
     out.churn_transients = churn->transient_outages();

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "dht/network.hpp"
 #include "emerge/sweep.hpp"
 #include "workload/scenario.hpp"
 
@@ -107,6 +108,9 @@ struct FleetTally {
   /// counters carry their own TransportStats::fingerprint(), which the
   /// goldens and invariance gates check alongside.
   dht::TransportStats transport;
+  /// Summed lookup counters of every world's network and its per-domain
+  /// shards, merged like transport and, like it, NOT part of fingerprint().
+  dht::LookupStats lookups;
 
   /// Window events executed per domain queue (ScenarioSpec::domains
   /// entries), summed elementwise across worlds. The partition itself

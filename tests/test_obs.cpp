@@ -331,6 +331,10 @@ TEST(BridgePublish, FleetTallyLandsOnTheRegistry) {
       registry.histograms()
           .at("emergence_fleet_delivery_latency_us{scenario=\"lossy-links\"}")
           .empty());
+  EXPECT_EQ(registry.counters().at(
+                "emergence_lookup_lookups_total{scenario=\"lossy-links\"}"),
+            tally.lookups.lookups);
+  EXPECT_GT(tally.lookups.lookups, 0u);
   // Publishing the same tally from two "shards" then merging matches a
   // single publish of the merged counts doubled.
   obs::MetricsRegistry a, b;

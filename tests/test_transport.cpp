@@ -315,6 +315,10 @@ TEST(TransportGolden, IdealFleetFingerprintUnchangedBitForBit) {
   EXPECT_EQ(t.transport.fingerprint(), 15401085009837008439ULL);
   EXPECT_EQ(t.world_events, 3186u);
   EXPECT_EQ(t.world_lane_fires, 2547u);
+  // Every lookup the world ran: layout, routed deliveries and reap erases.
+  EXPECT_EQ(t.lookups.lookups, 5531u);
+  EXPECT_EQ(t.lookups.total_hops, 27539u);
+  EXPECT_EQ(t.lookups.failures, 0u);
   // The explicit net=ideal spelling is the same model.
   const workload::ScenarioSpec explicit_ideal = workload::parse_scenario(
       "metro-diurnal:net=ideal,population=1000,sessions=256,worlds=1,"
@@ -338,8 +342,34 @@ TEST(TransportGolden, LossyShareExecutorFleetFingerprintUnchanged) {
   EXPECT_EQ(t.transport.fingerprint(), 8156097701163546265ULL);
   EXPECT_EQ(t.world_events, 7433u);
   EXPECT_EQ(t.world_lane_fires, 6378u);
+  EXPECT_EQ(t.lookups.lookups, 21006u);
+  EXPECT_EQ(t.lookups.total_hops, 112485u);
+  EXPECT_EQ(t.lookups.failures, 0u);
   EXPECT_GT(t.churn_deaths, 0u);
   EXPECT_GT(t.transport.retried, 0u);
+}
+
+TEST(TransportGolden, KademliaLossyExecutorFleetFingerprintUnchanged) {
+  // The Kademlia backend's golden: XOR routing with read-only session
+  // lookups, a 20% coalition, 5% iid loss with retries, churn with
+  // periodic republish, and the 2-domain executor. The same values hold at
+  // 1, 2 and 4 domains; Kademlia arms no maintenance lanes.
+  core::SweepRunner sweeps(core::SweepOptions{2, 64});
+  const workload::ScenarioSpec spec = workload::parse_scenario(
+      "kademlia-steady:population=1000,sessions=300,net=lossy,domains=2,"
+      "p=0.2,seed=0x4AD");
+  const workload::FleetTally t = workload::run_scenario(sweeps, spec);
+  EXPECT_EQ(t.fingerprint(), 10165635303923624854ULL);
+  EXPECT_EQ(t.transport.fingerprint(), 15789811344011052288ULL);
+  EXPECT_EQ(t.events_executed, 8245u);
+  EXPECT_EQ(t.world_events, 614u);
+  EXPECT_EQ(t.world_lane_fires, 0u);
+  EXPECT_EQ(t.lookups.lookups, 6615u);
+  EXPECT_EQ(t.lookups.total_hops, 12468u);
+  EXPECT_EQ(t.lookups.failures, 0u);
+  EXPECT_EQ(t.churn_deaths, 14u);
+  EXPECT_EQ(t.transport.dropped, 147u);
+  EXPECT_EQ(t.transport.retried, 147u);
 }
 
 // -- thread-count invariance of a lossy WAN fleet -----------------------------
