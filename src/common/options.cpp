@@ -74,20 +74,6 @@ OptionTable& OptionTable::add_size(std::string name, std::string help,
              });
 }
 
-OptionTable& OptionTable::add_u16(std::string name, std::string help,
-                                  std::uint16_t* out) {
-  const std::string key = name;
-  return add(std::move(name), "N", std::move(help),
-             [key, out](const std::string& v) {
-               const std::size_t parsed = parse_size_option(key, v);
-               if (parsed > 0xFFFF) {
-                 throw PreconditionError("option '" + key + "=" + v +
-                                         "': exceeds 65535");
-               }
-               *out = static_cast<std::uint16_t>(parsed);
-             });
-}
-
 OptionTable& OptionTable::add_real(std::string name, std::string help,
                                    double* out) {
   const std::string key = name;

@@ -44,7 +44,6 @@ class OptionTable {
 
   // -- typed conveniences (shared diagnostics) --------------------------------
   OptionTable& add_size(std::string name, std::string help, std::size_t* out);
-  OptionTable& add_u16(std::string name, std::string help, std::uint16_t* out);
   OptionTable& add_real(std::string name, std::string help, double* out);
   /// Accepts decimal or 0x-prefixed hex (seeds).
   OptionTable& add_u64(std::string name, std::string help, std::uint64_t* out);

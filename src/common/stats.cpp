@@ -4,43 +4,6 @@
 
 namespace emergence {
 
-void RunningStat::add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStat::merge(const RunningStat& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  // Chan, Golub, LeVeque (1983): combine two Welford partials.
-  const double delta = other.mean_ - mean_;
-  const std::size_t n = n_ + other.n_;
-  const double nb = static_cast<double>(other.n_);
-  const double ratio = static_cast<double>(n_) * nb / static_cast<double>(n);
-  m2_ += other.m2_ + delta * delta * ratio;
-  mean_ += delta * nb / static_cast<double>(n);
-  n_ = n;
-}
-
-double RunningStat::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-double RunningStat::stderr_mean() const {
-  if (n_ == 0) return 0.0;
-  return stddev() / std::sqrt(static_cast<double>(n_));
-}
-
-double RunningStat::ci95_halfwidth() const { return 1.96 * stderr_mean(); }
-
 void RateStat::add(bool success) {
   ++trials_;
   if (success) ++successes_;

@@ -7,37 +7,6 @@
 
 namespace emergence {
 
-/// Welford streaming mean/variance accumulator. Mergeable: per-shard
-/// accumulators built in parallel combine with merge() (Chan et al.'s
-/// pairwise update), which the sweep layer uses to aggregate sharded
-/// Monte-Carlo runs. Merging is exact for counts and associative up to
-/// floating-point rounding for mean/m2, so deterministic pipelines must
-/// merge shards in a fixed order (see docs/architecture.md, "Concurrency
-/// and reproducibility").
-class RunningStat {
- public:
-  void add(double x);
-
-  /// Folds another accumulator into this one as if its samples had been
-  /// add()ed here.
-  void merge(const RunningStat& other);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ == 0 ? 0.0 : mean_; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  /// Standard error of the mean.
-  double stderr_mean() const;
-  /// Half-width of a 95% normal-approximation confidence interval.
-  double ci95_halfwidth() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
-
 /// Accumulates Bernoulli outcomes (success counts) and reports the success
 /// frequency; used for resilience probabilities.
 class RateStat {

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "sim/execution_context.hpp"
 
 namespace emergence::dht {
 namespace {
@@ -36,80 +35,23 @@ std::size_t floor_log2_distance(const NodeId& from, const NodeId& to) {
 
 ChordNetwork::ChordNetwork(sim::Simulator& simulator, Rng& rng,
                            NetworkConfig config)
-    : simulator_(simulator),
-      rng_(rng),
-      config_(config) {
-  config_.transport.validate();
+    : NodeNetwork(simulator, rng, config.transport, "node-"),
+      config_(std::move(config)) {
   if (config_.run_maintenance) {
-    stabilize_lane_ = simulator_.add_lane();
-    repair_lane_ = simulator_.add_lane();
+    stabilize_lane_ = simulator.add_lane();
+    repair_lane_ = simulator.add_lane();
   }
-}
-
-NodeId ChordNetwork::fresh_node_id() {
-  // Hash a unique counter; collisions are astronomically unlikely but we
-  // re-draw on one anyway.
-  for (;;) {
-    const std::string name = "node-" + std::to_string(node_counter_++);
-    const NodeId id = NodeId::hash_of_text(name);
-    if (nodes_.find(id) == nodes_.end()) return id;
-  }
-}
-
-ChordNode& ChordNetwork::allocate_node(const NodeId& id) {
-  // A rejoin of a dead id (transient churn outage) reuses its arena slot:
-  // reset_for_rejoin restores the freshly-constructed state, so long
-  // churned worlds do not accrete one dead instance per rejoin.
-  auto it = nodes_.find(id);
-  if (it != nodes_.end()) {
-    it->second->reset_for_rejoin();
-    return *it->second;
-  }
-  arena_.emplace_back(*this, id, config_.successor_list_size);
-  ChordNode& fresh = arena_.back();
-  nodes_[id] = &fresh;
-  return fresh;
-}
-
-void ChordNetwork::register_alive(ChordNode& node) {
-  const NodeId& id = node.id();
-  alive_index_[id] = alive_ids_.size();
-  alive_ids_.push_back(id);
-  alive_nodes_.push_back(&node);
-  live_ring_.insert(id);
-  // Every node's zone is primed from serial code (bootstrap / churn joins),
-  // so zone_of stays a pure read when domains sample latencies in parallel.
-  config_.transport.prime_zone(id);
-}
-
-void ChordNetwork::unregister_alive(const ChordNode& node) {
-  const NodeId& id = node.id();  // the node's own copy, never alive_ids_'
-  auto it = alive_index_.find(id);
-  if (it == alive_index_.end()) return;
-  live_ring_.erase(id);
-  const std::size_t pos = it->second;
-  const NodeId last = alive_ids_.back();
-  alive_ids_[pos] = last;
-  alive_nodes_[pos] = alive_nodes_.back();
-  alive_index_[last] = pos;
-  alive_ids_.pop_back();
-  alive_nodes_.pop_back();
-  alive_index_.erase(it);
 }
 
 void ChordNetwork::bootstrap(std::size_t count) {
   require(count > 0, "ChordNetwork::bootstrap: need at least one node");
-  require(nodes_.empty(), "ChordNetwork::bootstrap: network already built");
-
-  nodes_.reserve(count);
-  alive_index_.reserve(count);
-  alive_ids_.reserve(count);
-  alive_nodes_.reserve(count);
+  reserve_nodes(count);
 
   std::vector<PeerRef> ring;
   ring.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    ChordNode& n = allocate_node(fresh_node_id());
+    const NodeId id = fresh_node_id();
+    ChordNode& n = allocate_node(id, *this, id, config_.successor_list_size);
     ring.push_back(n.self());
     register_alive(n);
   }
@@ -183,9 +125,9 @@ void ChordNetwork::bootstrap(std::size_t count) {
     stabilize.reserve(count);
     repair.reserve(count);
     for (const PeerRef& peer : ring) {
-      stabilize.emplace_back(rng_.real() * config_.stabilize_interval,
+      stabilize.emplace_back(rng().real() * config_.stabilize_interval,
                              peer.node);
-      repair.emplace_back(rng_.real() * config_.replica_repair_interval,
+      repair.emplace_back(rng().real() * config_.replica_repair_interval,
                           peer.node);
     }
     const auto by_phase = [](const auto& a, const auto& b) {
@@ -210,8 +152,8 @@ void ChordNetwork::schedule_maintenance(ChordNode& node) {
   // in deadline order and never touch the heap. A joiner's first arm lands
   // inside the current interval, below the lane's tail, and takes the heap
   // once.
-  schedule_stabilize_in(rng_.real() * config_.stabilize_interval, node);
-  schedule_repair_in(rng_.real() * config_.replica_repair_interval, node);
+  schedule_stabilize_in(rng().real() * config_.stabilize_interval, node);
+  schedule_repair_in(rng().real() * config_.replica_repair_interval, node);
 }
 
 // The timers capture the node's handle and incarnation: a timer whose node
@@ -220,7 +162,7 @@ void ChordNetwork::schedule_maintenance(ChordNode& node) {
 // would run two). Two words fit std::function's inline buffer, so arming a
 // timer allocates nothing.
 void ChordNetwork::schedule_stabilize_in(double delay, ChordNode& node) {
-  simulator_.schedule_in_lane(
+  simulator().schedule_in_lane(
       stabilize_lane_, delay,
       [n = &node, incarnation = node.incarnation()]() {
         if (!n->alive() || n->incarnation() != incarnation) return;
@@ -234,7 +176,7 @@ void ChordNetwork::schedule_stabilize_in(double delay, ChordNode& node) {
 }
 
 void ChordNetwork::schedule_repair_in(double delay, ChordNode& node) {
-  simulator_.schedule_in_lane(
+  simulator().schedule_in_lane(
       repair_lane_, delay,
       [n = &node, incarnation = node.incarnation()]() {
         if (!n->alive() || n->incarnation() != incarnation) return;
@@ -251,12 +193,12 @@ NodeId ChordNetwork::add_node_with_id(const NodeId& id) {
   const ChordNode* existing = node(id);
   require(existing == nullptr || !existing->alive(),
           "ChordNetwork::add_node_with_id: id already in use");
-  ChordNode& fresh = allocate_node(id);
+  ChordNode& fresh = allocate_node(id, *this, id, config_.successor_list_size);
 
-  if (alive_ids_.empty()) {
+  if (alive_count() == 0) {
     fresh.create();
   } else {
-    const NodeId bootstrap = alive_ids_[rng_.index(alive_ids_.size())];
+    const NodeId bootstrap = alive_ids()[rng().index(alive_count())];
     fresh.join(bootstrap);
   }
   register_alive(fresh);
@@ -276,12 +218,10 @@ NodeId ChordNetwork::add_node_with_id(const NodeId& id) {
 void ChordNetwork::kill_node(const NodeId& id) {
   ChordNode* n = live_node(id);
   if (n == nullptr) return;
-  // Callers may pass a reference into alive_ids_ itself (e.g.
-  // kill_node(alive_ids()[i])); unregister_alive's swap-pop overwrites that
-  // slot, so work from the node's own copy of the id.
+  // `id` may alias a slot of alive_ids() (e.g. kill_node(alive_ids()[i])),
+  // which unregister_alive's swap-pop overwrites; nothing reads it after.
   n->fail();
   unregister_alive(*n);
-  handlers_.erase(n->id());
 }
 
 void ChordNetwork::remove_node(const NodeId& id) {
@@ -289,42 +229,18 @@ void ChordNetwork::remove_node(const NodeId& id) {
   if (n == nullptr) return;
   n->leave();
   unregister_alive(*n);  // see kill_node on aliasing
-  handlers_.erase(n->id());
-}
-
-ChordNode* ChordNetwork::node(const NodeId& id) {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second;
-}
-
-const ChordNode* ChordNetwork::node(const NodeId& id) const {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second;
-}
-
-ChordNode* ChordNetwork::live_node(const NodeId& id) {
-  ChordNode* n = node(id);
-  return (n != nullptr && n->alive()) ? n : nullptr;
-}
-
-ChordNode& ChordNetwork::random_live_node() {
-  require(!alive_ids_.empty(), "ChordNetwork: no live nodes");
-  // Session lookups draw the entry pick from the executing session's own
-  // stream (domain-count invariant); code outside any execution context
-  // (maintenance, churn, a bare network) keeps the shared network stream.
-  auto* ctx = sim::ExecutionContext::active_on(&simulator_);
-  Rng& rng = (ctx != nullptr && ctx->rng != nullptr) ? *ctx->rng : rng_;
-  return *alive_nodes_[rng.index(alive_nodes_.size())];
 }
 
 ChordLookup ChordNetwork::route(const NodeId& key) {
   const ChordLookup found = random_live_node().find_successor(key);
-  auto* ctx = sim::ExecutionContext::active_on(&simulator_);
-  LookupStats& stats = (ctx != nullptr && ctx->lookup_stats != nullptr)
-                           ? *ctx->lookup_stats
-                           : lookup_stats_;
-  stats.record(found.result());
+  seams().lookup_stats.record(found.result());
   return found;
+}
+
+std::optional<NodeId> ChordNetwork::live_owner(const NodeId& ring_point) {
+  const ChordLookup found = route(ring_point);
+  if (!found.ok || !found.peer.node->alive()) return std::nullopt;
+  return found.peer.id;
 }
 
 LookupResult ChordNetwork::lookup(const NodeId& key) {
@@ -356,7 +272,7 @@ ChordNode* ChordNetwork::next_replica_candidate(ChordNode& t) {
   // broken pointer). Step to the true ring successor through the sorted
   // live index — O(log n), and exactly the node one stabilize round would
   // restore as the successor. The index answers with an id.
-  const std::optional<NodeId> step = live_ring_.successor_of(t.id());
+  const std::optional<NodeId> step = live_ring().successor_of(t.id());
   return step.has_value() ? live_node(*step) : nullptr;  // null: alone
 }
 
@@ -403,82 +319,9 @@ std::size_t ChordNetwork::erase(const NodeId& key) {
   return erased;
 }
 
-bool ChordNetwork::store_on(const NodeId& id, const NodeId& key,
-                            SharedBytes value) {
-  require(value != nullptr, "ChordNetwork::store_on: null value");
-  ChordNode* n = live_node(id);
-  if (n == nullptr) return false;
-  n->store_local(key, std::move(value));
-  return true;
-}
-
-SharedBytes ChordNetwork::load_from(const NodeId& id, const NodeId& key) {
-  ChordNode* n = live_node(id);
-  if (n == nullptr) return nullptr;
-  return n->storage().get(key);
-}
-
-void ChordNetwork::set_message_handler(const NodeId& node_id,
-                                       MessageHandler handler) {
-  handlers_[node_id] = std::move(handler);
-}
-
-void ChordNetwork::deliver(const NodeId& from, const NodeId& to,
-                           BytesView payload) {
-  auto it = handlers_.find(to);
-  if (it != handlers_.end()) {
-    it->second(from, to, payload);
-  } else if (default_handler_) {
-    default_handler_(from, to, payload);
-  }
-}
-
-void ChordNetwork::send_message(const NodeId& from, const NodeId& to,
-                                SharedBytes payload) {
-  require(payload != nullptr, "ChordNetwork::send_message: null payload");
-  auto* ctx = sim::ExecutionContext::active_on(&simulator_);
-  Rng& rng = (ctx != nullptr && ctx->rng != nullptr) ? *ctx->rng : rng_;
-  TransportStats& stats =
-      (ctx != nullptr && ctx->transport_stats != nullptr)
-          ? *ctx->transport_stats
-          : transport_stats_;
-  obs::TraceShard* trace =
-      (ctx != nullptr && ctx->trace != nullptr) ? ctx->trace : trace_shard_;
-  config_.transport.send(
-      simulator_, rng, stats, from, to,
-      [this, from, to, payload = std::move(payload)]() {
-        if (live_node(to) == nullptr) return;  // dead destination: lost
-        deliver(from, to, *payload);
-      },
-      trace);
-}
-
-void ChordNetwork::send_message_routed(const NodeId& from,
-                                       const NodeId& ring_point,
-                                       SharedBytes payload) {
-  require(payload != nullptr,
-          "ChordNetwork::send_message_routed: null payload");
-  auto* ctx = sim::ExecutionContext::active_on(&simulator_);
-  Rng& rng = (ctx != nullptr && ctx->rng != nullptr) ? *ctx->rng : rng_;
-  TransportStats& stats =
-      (ctx != nullptr && ctx->transport_stats != nullptr)
-          ? *ctx->transport_stats
-          : transport_stats_;
-  obs::TraceShard* trace =
-      (ctx != nullptr && ctx->trace != nullptr) ? ctx->trace : trace_shard_;
-  config_.transport.send(
-      simulator_, rng, stats, from, ring_point,
-      [this, from, ring_point, payload = std::move(payload)]() {
-        const ChordLookup found = route(ring_point);
-        if (!found.ok || !found.peer.node->alive()) return;
-        deliver(from, found.peer.id, *payload);
-      },
-      trace);
-}
-
 void ChordNetwork::run_maintenance_round() {
   // Snapshot the handles: maintenance can change the alive set.
-  const std::vector<ChordNode*> nodes = alive_nodes_;
+  const std::vector<ChordNode*> nodes = alive_nodes();
   for (ChordNode* n : nodes) {
     if (!n->alive()) continue;
     n->stabilize();

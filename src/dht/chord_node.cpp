@@ -221,9 +221,7 @@ void ChordNode::store_local(const NodeId& key, SharedBytes value) {
   require(alive_, "ChordNode::store_local on a dead node");
   require(value != nullptr, "ChordNode::store_local: null value");
   storage_.put(key, value, network_.simulator().now());
-  if (network_.store_observer()) {
-    network_.store_observer()(id(), key, BytesView(*value));
-  }
+  network_.notify_store(id(), key, *value);
 }
 
 void ChordNode::set_successor_list(std::vector<PeerRef> successors) {

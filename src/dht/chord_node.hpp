@@ -125,7 +125,7 @@ class ChordNode {
   Storage& storage() { return storage_; }
   const Storage& storage() const { return storage_; }
 
-  /// Stores locally and fires the network's on_store observer. Replication
+  /// Stores locally and reports it to the network's store observer. Replication
   /// shares the buffer: no copy per replica.
   void store_local(const NodeId& key, SharedBytes value);
   void store_local(const NodeId& key, Bytes value) {

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <unordered_map>
+#include <utility>
 
 #include "common/error.hpp"
-#include "sim/execution_context.hpp"
 
 namespace emergence::dht {
 
@@ -73,68 +74,19 @@ std::size_t KademliaNode::contact_count() const {
 
 KademliaNetwork::KademliaNetwork(sim::Simulator& simulator, Rng& rng,
                                  KademliaConfig config)
-    : simulator_(simulator),
-      rng_(rng),
-      config_(config) {
-  config_.transport.validate();
-}
-
-NodeId KademliaNetwork::fresh_node_id() {
-  for (;;) {
-    const std::string name = "kad-node-" + std::to_string(node_counter_++);
-    const NodeId id = NodeId::hash_of_text(name);
-    if (nodes_.find(id) == nodes_.end()) return id;
-  }
-}
-
-KademliaNode& KademliaNetwork::allocate_node(const NodeId& id) {
-  // A rejoin of a dead id reuses its arena slot (see ChordNetwork).
-  auto it = nodes_.find(id);
-  if (it != nodes_.end()) {
-    it->second->reset_for_rejoin();
-    return *it->second;
-  }
-  arena_.emplace_back(id, kIdBits);
-  KademliaNode& fresh = arena_.back();
-  nodes_[id] = &fresh;
-  return fresh;
-}
-
-void KademliaNetwork::register_alive(const NodeId& id) {
-  alive_index_[id] = alive_ids_.size();
-  alive_ids_.push_back(id);
-  live_ring_.insert(id);
-  // Every node's zone is primed from serial code (bootstrap / churn joins),
-  // so zone_of stays a pure read when domains sample latencies in parallel.
-  config_.transport.prime_zone(id);
-}
-
-void KademliaNetwork::unregister_alive(const NodeId& id) {
-  auto it = alive_index_.find(id);
-  if (it == alive_index_.end()) return;
-  live_ring_.erase(id);  // before the swap-pop: `id` may alias alive_ids_
-  const std::size_t pos = it->second;
-  const NodeId last = alive_ids_.back();
-  alive_ids_[pos] = last;
-  alive_index_[last] = pos;
-  alive_ids_.pop_back();
-  alive_index_.erase(it);
-}
+    : NodeNetwork(simulator, rng, config.transport, "kad-node-"),
+      config_(std::move(config)) {}
 
 void KademliaNetwork::bootstrap(std::size_t count) {
   require(count > 0, "KademliaNetwork::bootstrap: need at least one node");
-  require(nodes_.empty(), "KademliaNetwork::bootstrap: already built");
-  nodes_.reserve(count);
-  alive_index_.reserve(count);
-  alive_ids_.reserve(count);
+  reserve_nodes(count);
 
   std::vector<NodeId> ids;
   ids.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const NodeId id = fresh_node_id();
     ids.push_back(id);
-    allocate_node(id);
-    register_alive(id);
+    register_alive(allocate_node(id, id, kIdBits));
   }
 
   // Bucket population via prefix ranges: node x's bucket b holds ids that
@@ -150,7 +102,7 @@ void KademliaNetwork::bootstrap(std::size_t count) {
   std::vector<NodeId> sorted = ids;
   std::sort(sorted.begin(), sorted.end());
   for (const NodeId& x : ids) {
-    KademliaNode& n = *nodes_.at(x);
+    KademliaNode& n = *node(x);
     const auto& xb = x.bytes();
     for (std::size_t b = 0; b < kIdBits; ++b) {
       const std::size_t byte = kIdBytes - 1 - b / 8;
@@ -190,75 +142,40 @@ void KademliaNetwork::bootstrap(std::size_t count) {
 NodeId KademliaNetwork::add_node() { return join_node(fresh_node_id()); }
 
 NodeId KademliaNetwork::add_node_with_id(const NodeId& id) {
-  require(nodes_.find(id) == nodes_.end() || !nodes_.at(id)->alive(),
+  require(!is_alive(id),
           "KademliaNetwork::add_node_with_id: id already in use");
   return join_node(id);
 }
 
 NodeId KademliaNetwork::join_node(const NodeId& id) {
-  KademliaNode& fresh = allocate_node(id);
-  if (!alive_ids_.empty()) {
-    // Learn the bootstrap contact, then run a self-lookup: every node on
-    // the query path becomes a contact (and learns us).
-    const NodeId bootstrap = alive_ids_[rng_.index(alive_ids_.size())];
-    fresh.observe_contact(bootstrap, config_.bucket_size);
-    register_alive(id);
-    // Self-lookup from the fresh node: every queried node learns about it,
-    // which populates the routing tables around its own id.
-    const LookupResult self_lookup = iterative_find_from(fresh, id);
-    (void)self_lookup;
-  } else {
-    register_alive(id);
+  KademliaNode& fresh = allocate_node(id, id, kIdBits);
+  if (alive_count() == 0) {
+    register_alive(fresh);
+    return id;
   }
+  // Learn the bootstrap contact, then run a self-lookup from the fresh
+  // node: every queried node learns about it, which populates the routing
+  // tables around its own id.
+  const NodeId bootstrap = alive_ids()[rng().index(alive_count())];
+  fresh.observe_contact(bootstrap, config_.bucket_size);
+  register_alive(fresh);
+  iterative_find_from(fresh, id);
   return id;
 }
 
 void KademliaNetwork::kill_node(const NodeId& id) {
   KademliaNode* n = live_node(id);
   if (n == nullptr) return;
-  // Callers may pass a reference into alive_ids_ itself; unregister_alive's
-  // swap-pop overwrites that slot, so work from a stable copy of the id.
-  const NodeId victim = n->id();
+  // `id` may alias a slot of alive_ids(), which unregister_alive's swap-pop
+  // overwrites; nothing reads it after.
   n->mark_alive(false);
   n->storage().clear();
-  unregister_alive(victim);
-  handlers_.erase(victim);
-}
-
-KademliaNode* KademliaNetwork::node(const NodeId& id) {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second;
-}
-
-const KademliaNode* KademliaNetwork::node(const NodeId& id) const {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second;
-}
-
-KademliaNode* KademliaNetwork::live_node(const NodeId& id) {
-  KademliaNode* n = node(id);
-  return (n != nullptr && n->alive()) ? n : nullptr;
+  unregister_alive(*n);
 }
 
 NodeId KademliaNetwork::closest_alive(const NodeId& key) const {
-  require(!alive_ids_.empty(), "KademliaNetwork: no live nodes");
-  return *live_ring_.xor_closest(key);
-}
-
-LookupResult KademliaNetwork::iterative_find(const NodeId& key) {
-  LookupResult result;
-  if (alive_ids_.empty()) {
-    result.ok = false;
-    return result;
-  }
-  // Session lookups draw the entry pick from the executing session's own
-  // stream (domain-count invariant); code outside any execution context
-  // (maintenance, churn, a bare network) keeps the shared network stream.
-  auto* ctx = sim::ExecutionContext::active_on(&simulator_);
-  Rng& rng = (ctx != nullptr && ctx->rng != nullptr) ? *ctx->rng : rng_;
-  KademliaNode& origin =
-      *nodes_.at(alive_ids_[rng.index(alive_ids_.size())]);
-  return iterative_find_from(origin, key);
+  require(alive_count() > 0, "KademliaNetwork: no live nodes");
+  return *live_ring().xor_closest(key);
 }
 
 LookupResult KademliaNetwork::iterative_find_from(KademliaNode& origin,
@@ -269,11 +186,9 @@ LookupResult KademliaNetwork::iterative_find_from(KademliaNode& origin,
   // normally performs (observe/drop contacts) would both race across
   // parallel domains and make routing tables depend on the domain count.
   // Maintenance and churn lookups run outside any context and still adapt.
-  sim::ExecutionContext* ctx = sim::ExecutionContext::active_on(&simulator_);
-  const bool read_only = ctx != nullptr;
-  LookupStats& stats = (ctx != nullptr && ctx->lookup_stats != nullptr)
-                           ? *ctx->lookup_stats
-                           : lookup_stats_;
+  const Seams s = seams();
+  const bool read_only = s.in_session;
+  LookupStats& stats = s.lookup_stats;
   // Shortlist of closest known contacts, queried nearest-first. The origin
   // never queries itself (but may legitimately be the result).
   std::vector<NodeId> shortlist =
@@ -352,7 +267,14 @@ LookupResult KademliaNetwork::iterative_find_from(KademliaNode& origin,
 }
 
 LookupResult KademliaNetwork::lookup(const NodeId& key) {
-  return iterative_find(key);
+  if (alive_count() == 0) return LookupResult{NodeId{}, 0, false};
+  return iterative_find_from(random_live_node(), key);
+}
+
+std::optional<NodeId> KademliaNetwork::live_owner(const NodeId& ring_point) {
+  const LookupResult result = lookup(ring_point);
+  if (!result.ok || !is_alive(result.node)) return std::nullopt;
+  return result.node;
 }
 
 bool KademliaNetwork::put(const NodeId& key, SharedBytes value) {
@@ -368,8 +290,7 @@ bool KademliaNetwork::put(const NodeId& key, SharedBytes value) {
   for (const NodeId& id : replicas) {
     KademliaNode* n = live_node(id);
     if (n == nullptr) continue;
-    n->storage().put(key, value, simulator_.now());  // shares the buffer
-    if (store_observer_) store_observer_(id, key, *value);
+    store_at(*n, key, value);  // shares the buffer
     if (++stored >= config_.replication_factor) break;
   }
   return stored > 0;
@@ -407,90 +328,9 @@ std::size_t KademliaNetwork::erase(const NodeId& key) {
   return erased;
 }
 
-bool KademliaNetwork::is_alive(const NodeId& id) const {
-  const KademliaNode* n = node(id);
-  return n != nullptr && n->alive();
-}
-
-bool KademliaNetwork::store_on(const NodeId& id, const NodeId& key,
-                               SharedBytes value) {
-  require(value != nullptr, "KademliaNetwork::store_on: null value");
-  KademliaNode* n = live_node(id);
-  if (n == nullptr) return false;
-  n->storage().put(key, value, simulator_.now());
-  if (store_observer_) store_observer_(id, key, *value);
-  return true;
-}
-
-SharedBytes KademliaNetwork::load_from(const NodeId& id, const NodeId& key) {
-  KademliaNode* n = live_node(id);
-  if (n == nullptr) return nullptr;
-  return n->storage().get(key);
-}
-
-void KademliaNetwork::set_message_handler(const NodeId& id,
-                                          MessageHandler handler) {
-  handlers_[id] = std::move(handler);
-}
-
-void KademliaNetwork::deliver(const NodeId& from, const NodeId& to,
-                              BytesView payload) {
-  if (live_node(to) == nullptr) return;
-  auto it = handlers_.find(to);
-  if (it != handlers_.end()) {
-    it->second(from, to, payload);
-  } else if (default_handler_) {
-    default_handler_(from, to, payload);
-  }
-}
-
-void KademliaNetwork::send_message(const NodeId& from, const NodeId& to,
-                                   SharedBytes payload) {
-  require(payload != nullptr, "KademliaNetwork::send_message: null payload");
-  auto* ctx = sim::ExecutionContext::active_on(&simulator_);
-  Rng& rng = (ctx != nullptr && ctx->rng != nullptr) ? *ctx->rng : rng_;
-  TransportStats& stats =
-      (ctx != nullptr && ctx->transport_stats != nullptr)
-          ? *ctx->transport_stats
-          : transport_stats_;
-  obs::TraceShard* trace =
-      (ctx != nullptr && ctx->trace != nullptr) ? ctx->trace : trace_shard_;
-  config_.transport.send(
-      simulator_, rng, stats, from, to,
-      [this, from, to, payload = std::move(payload)]() {
-        deliver(from, to, *payload);
-      },
-      trace);
-}
-
-void KademliaNetwork::send_message_routed(const NodeId& from,
-                                          const NodeId& ring_point,
-                                          SharedBytes payload) {
-  require(payload != nullptr,
-          "KademliaNetwork::send_message_routed: null payload");
-  auto* ctx = sim::ExecutionContext::active_on(&simulator_);
-  Rng& rng = (ctx != nullptr && ctx->rng != nullptr) ? *ctx->rng : rng_;
-  TransportStats& stats =
-      (ctx != nullptr && ctx->transport_stats != nullptr)
-          ? *ctx->transport_stats
-          : transport_stats_;
-  obs::TraceShard* trace =
-      (ctx != nullptr && ctx->trace != nullptr) ? ctx->trace : trace_shard_;
-  config_.transport.send(
-      simulator_, rng, stats, from, ring_point,
-      [this, from, ring_point, payload = std::move(payload)]() {
-        const LookupResult result = lookup(ring_point);
-        if (!result.ok) return;
-        deliver(from, result.node, *payload);
-      },
-      trace);
-}
-
 void KademliaNetwork::republish_round() {
-  const std::vector<NodeId> ids = alive_ids_;
-  for (const NodeId& id : ids) {
-    KademliaNode* n = live_node(id);
-    if (n == nullptr) continue;
+  const std::vector<KademliaNode*> nodes = alive_nodes();
+  for (KademliaNode* n : nodes) {
     for (const NodeId& key : n->storage().all_keys()) {
       const SharedBytes value = n->storage().get(key);
       if (value == nullptr) continue;
@@ -498,10 +338,7 @@ void KademliaNetwork::republish_round() {
       for (const NodeId& peer : n->closest_contacts(key, config_.bucket_size)) {
         KademliaNode* p = live_node(peer);
         if (p == nullptr) continue;
-        if (p != n && !p->storage().contains(key)) {
-          p->storage().put(key, value, simulator_.now());
-          if (store_observer_) store_observer_(peer, key, *value);
-        }
+        if (p != n && !p->storage().contains(key)) store_at(*p, key, value);
         if (++stored >= config_.replication_factor) break;
       }
     }
@@ -509,7 +346,7 @@ void KademliaNetwork::republish_round() {
 }
 
 void KademliaNetwork::schedule_republish() {
-  simulator_.schedule_in(config_.republish_interval, [this]() {
+  simulator().schedule_in(config_.republish_interval, [this]() {
     republish_round();
     schedule_republish();
   });

@@ -9,19 +9,18 @@
 // `replication_factor` closest.
 //
 // The paper's evaluation ran on Overlay Weaver, which hosts several DHT
-// algorithms behind one runtime; this class plays that role for the
-// dht::Network interface so the timed-release protocol runs unchanged over
-// Chord or Kademlia (see tests/test_protocol.cpp).
+// algorithms behind one runtime; dht::Network plays that runtime here, and
+// this class supplies only Kademlia's routing, so the timed-release
+// protocol runs unchanged over Chord or Kademlia (see
+// tests/test_protocol.cpp).
 #pragma once
 
-#include <deque>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "dht/network.hpp"
 #include "dht/node_id.hpp"
-#include "dht/ring_index.hpp"
+#include "dht/node_network.hpp"
 #include "dht/storage.hpp"
 #include "sim/simulator.hpp"
 
@@ -90,14 +89,14 @@ class KademliaNode {
 };
 
 /// The in-process Kademlia DHT.
-class KademliaNetwork final : public Network {
+class KademliaNetwork final : public NodeNetwork<KademliaNode> {
  public:
   KademliaNetwork(sim::Simulator& simulator, Rng& rng,
                   KademliaConfig config = {});
 
   /// Creates `count` nodes and wires populated k-buckets in
   /// O(n * bits * (log n + k)) via prefix ranges over the sorted id list.
-  void bootstrap(std::size_t count);
+  void bootstrap(std::size_t count) override;
 
   /// Joins one node through a random live bootstrap contact.
   NodeId add_node() override;
@@ -109,103 +108,34 @@ class KademliaNetwork final : public Network {
   /// Abrupt failure.
   void kill_node(const NodeId& id) override;
 
-  KademliaNode* node(const NodeId& id);
-  const KademliaNode* node(const NodeId& id) const;
-  KademliaNode* live_node(const NodeId& id);
-
   /// True closest live node to `key`, answered by the sorted live index in
   /// O(bits * log n) (replaces the old O(live) brute-force oracle scan).
   NodeId closest_alive(const NodeId& key) const;
 
-  // -- Network interface -------------------------------------------------------
   LookupResult lookup(const NodeId& key) override;
   bool put(const NodeId& key, SharedBytes value) override;
   using Network::put;
   SharedBytes get(const NodeId& key) override;
   std::size_t erase(const NodeId& key) override;
-  bool is_alive(const NodeId& id) const override;
-  bool store_on(const NodeId& id, const NodeId& key,
-                SharedBytes value) override;
-  using Network::store_on;
-  SharedBytes load_from(const NodeId& id, const NodeId& key) override;
-  void set_message_handler(const NodeId& node, MessageHandler handler) override;
-  void set_default_message_handler(MessageHandler handler) override {
-    default_handler_ = std::move(handler);
-  }
-  const MessageHandler& default_message_handler() const override {
-    return default_handler_;
-  }
-  void send_message(const NodeId& from, const NodeId& to,
-                    SharedBytes payload) override;
-  using Network::send_message;
-  void send_message_routed(const NodeId& from, const NodeId& ring_point,
-                           SharedBytes payload) override;
-  using Network::send_message_routed;
-  void set_store_observer(StoreObserver observer) override {
-    store_observer_ = std::move(observer);
-  }
-  const StoreObserver& store_observer() const override {
-    return store_observer_;
-  }
-  std::size_t alive_count() const override { return alive_ids_.size(); }
-  sim::Simulator& simulator() override { return simulator_; }
-  Rng& rng() override { return rng_; }
-  double max_message_latency() const override {
-    return config_.transport.max_single_latency();
-  }
-  const TransportModel& transport() const override {
-    return config_.transport;
-  }
-  const TransportStats& transport_stats() const override {
-    return transport_stats_;
-  }
-  /// Serial trace shard (null = tracing off). Parallel runs override it
-  /// per-domain via ExecutionContext::trace, same as the stats shards.
-  void set_trace_shard(obs::TraceShard* shard) { trace_shard_ = shard; }
 
-  const std::vector<NodeId>& alive_ids() const override { return alive_ids_; }
-  const LiveRingIndex& live_ring() const { return live_ring_; }
   const KademliaConfig& config() const { return config_; }
-  LookupStats& lookup_stats() { return lookup_stats_; }
-  std::uint64_t lookup_count() const { return lookup_stats_.lookups; }
-  double mean_lookup_hops() const { return lookup_stats_.mean_hops(); }
 
   /// Republishes every stored key to its current replica set (replica
   /// repair; scheduled periodically when run_maintenance is on).
   void republish_round();
 
  private:
-  NodeId fresh_node_id();
-  KademliaNode& allocate_node(const NodeId& id);
+  std::optional<NodeId> live_owner(const NodeId& ring_point) override;
   NodeId join_node(const NodeId& id);
-  void register_alive(const NodeId& id);
-  void unregister_alive(const NodeId& id);
   void schedule_republish();
-  void deliver(const NodeId& from, const NodeId& to, BytesView payload);
 
   /// Iterative node lookup: the closest live node to `key`, with hop count.
   /// Queried nodes learn the originator (Kademlia's implicit liveness
   /// advertisement), which is what integrates a joining node into the
   /// routing tables around its own id.
   LookupResult iterative_find_from(KademliaNode& origin, const NodeId& key);
-  LookupResult iterative_find(const NodeId& key);
 
-  sim::Simulator& simulator_;
-  Rng& rng_;
   KademliaConfig config_;
-  TransportStats transport_stats_;
-  obs::TraceShard* trace_shard_ = nullptr;
-  /// Node arena (stable addresses, no per-node allocation churn).
-  std::deque<KademliaNode> arena_;
-  std::unordered_map<NodeId, KademliaNode*, NodeIdHash> nodes_;
-  std::vector<NodeId> alive_ids_;
-  std::unordered_map<NodeId, std::size_t, NodeIdHash> alive_index_;
-  LiveRingIndex live_ring_;
-  std::unordered_map<NodeId, MessageHandler, NodeIdHash> handlers_;
-  MessageHandler default_handler_;
-  StoreObserver store_observer_;
-  LookupStats lookup_stats_;
-  std::uint64_t node_counter_ = 0;
 };
 
 }  // namespace emergence::dht

@@ -52,8 +52,6 @@ NodeId NodeId::add_power_of_two(std::size_t power) const {
   return out;  // overflow wraps (mod 2^160)
 }
 
-NodeId NodeId::successor_value() const { return add_power_of_two(0); }
-
 std::uint64_t NodeId::distance_low64(const NodeId& other) const {
   // other - this (mod 2^160), low 64 bits.
   std::array<std::uint8_t, kIdBytes> diff;

@@ -60,9 +60,6 @@ class NodeId {
   /// this + 2^power (mod 2^160); used for finger-table starts.
   NodeId add_power_of_two(std::size_t power) const;
 
-  /// this + 1 (mod 2^160).
-  NodeId successor_value() const;
-
   /// Clockwise distance from this to other (other - this mod 2^160),
   /// truncated to the low 64 bits (sufficient for ordering diagnostics).
   std::uint64_t distance_low64(const NodeId& other) const;

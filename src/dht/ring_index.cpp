@@ -12,14 +12,6 @@ std::optional<NodeId> LiveRingIndex::successor_of(const NodeId& id) const {
   return *it;
 }
 
-std::optional<NodeId> LiveRingIndex::successor_inclusive(
-    const NodeId& key) const {
-  if (ids_.empty()) return std::nullopt;
-  auto it = ids_.lower_bound(key);
-  if (it == ids_.end()) it = ids_.begin();
-  return *it;
-}
-
 std::optional<NodeId> LiveRingIndex::xor_closest(const NodeId& key) const {
   if (ids_.empty()) return std::nullopt;
 

@@ -1,11 +1,11 @@
 // Sorted index over the live node ids of a DHT backend.
 //
-// Both backends keep a swap-pop vector (O(1) uniform sampling) plus this
-// ordered index so that the queries that used to fall back to O(live-set)
-// scans — Chord's ring-successor step when a node's successor list is
-// exhausted, Kademlia's closest-live-node-to-a-key — run in O(log n).
-// The index is maintained by register_alive/unregister_alive, so it mirrors
-// the alive set exactly at every instant.
+// NodeNetwork (node_network.hpp) keeps a swap-pop vector (O(1) uniform
+// sampling) plus this ordered index so that the queries that used to fall
+// back to O(live-set) scans — Chord's ring-successor step when a node's
+// successor list is exhausted, Kademlia's closest-live-node-to-a-key — run
+// in O(log n). Its register_alive/unregister_alive maintain the index, so
+// it mirrors the alive set exactly at every instant.
 #pragma once
 
 #include <optional>
@@ -28,10 +28,6 @@ class LiveRingIndex {
   /// of the id space). Returns nullopt when the index is empty or `id` is
   /// its only member — the "genuinely alone" case of Chord's successor walk.
   std::optional<NodeId> successor_of(const NodeId& id) const;
-
-  /// The live node responsible for `key` under Chord's successor rule: the
-  /// first live id >= key in ring order (wrapping). Nullopt when empty.
-  std::optional<NodeId> successor_inclusive(const NodeId& key) const;
 
   /// The live id minimizing XOR distance to `key` (Kademlia's ownership
   /// rule). Resolved by a most-significant-bit-first prefix descent: fix

@@ -7,7 +7,7 @@ namespace emergence::core {
 
 SessionDispatcher::SessionDispatcher(dht::Network& network)
     : network_(network) {
-  network.set_default_message_handler(
+  network.set_message_handler(
       [this](const dht::NodeId&, const dht::NodeId& to, BytesView payload) {
         const std::optional<std::uint64_t> nonce = peek_session_nonce(payload);
         if (!nonce.has_value()) {

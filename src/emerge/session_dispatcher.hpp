@@ -1,7 +1,7 @@
 // Flat O(1) routing of network events to concurrent sessions.
 //
-// The dispatcher installs ONE default handler and ONE store observer on
-// the network and routes by lookup: packages by the session nonce they
+// The dispatcher installs the network's one message handler and its store
+// observer, and routes by lookup: packages by the session nonce they
 // carry (a 64-bit drbg draw, unique per session), store observations by
 // the storage key the session registered for its pre-assigned layer keys.
 // Every TimedReleaseSession is constructed with a dispatcher; it registers

@@ -22,14 +22,6 @@ void publish(MetricsRegistry& r, const dht::LookupStats& stats,
   r.counter("emergence_lookup_failures_total", labels) += stats.failures;
 }
 
-void publish(MetricsRegistry& r, const dht::MaintenanceStats& stats,
-             const Labels& labels) {
-  r.counter("emergence_maintenance_stabilize_rounds_total", labels) +=
-      stats.stabilize_rounds;
-  r.counter("emergence_maintenance_repair_rounds_total", labels) +=
-      stats.repair_rounds;
-}
-
 void publish(MetricsRegistry& r, const service::WireStats& stats,
              const Labels& labels) {
   r.counter("emergence_wire_frames_sent_total", labels) += stats.frames_sent;

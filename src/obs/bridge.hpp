@@ -1,20 +1,19 @@
 // Publishes the repository's hot-path stats structs onto a MetricsRegistry.
 //
-// The five ad-hoc accumulators (dht::TransportStats, dht::LookupStats,
-// dht::MaintenanceStats, service::WireStats, workload::FleetTally — plus
-// service::DaemonReport) stay exactly what they are: small lock-free
-// structs the hot paths bump and the barriers merge, with their own pinned
-// fingerprints. This bridge is the PORT of those structs onto the unified
-// registry: one publish() overload per struct maps every field to a named
-// series, so benches, the wire MetricsResponse and the prometheus dump all
-// read one model instead of six shapes.
+// The four ad-hoc accumulators (dht::TransportStats, dht::LookupStats,
+// service::WireStats, workload::FleetTally — plus service::DaemonReport)
+// stay exactly what they are: small lock-free structs the hot paths bump
+// and the barriers merge, with their own pinned fingerprints. This bridge
+// is the PORT of those structs onto the unified registry: one publish()
+// overload per struct maps every field to a named series, so benches, the
+// wire MetricsResponse and the prometheus dump all read one model instead
+// of five shapes.
 //
 // Layering note: like bench/ and the workload scenario layer, this file
 // sits ABOVE dht/service/workload (it includes their headers); obs/metrics
 // and obs/trace themselves depend only on common/.
 #pragma once
 
-#include "dht/chord_network.hpp"
 #include "dht/network.hpp"
 #include "dht/transport.hpp"
 #include "obs/metrics.hpp"
@@ -30,10 +29,6 @@ void publish(MetricsRegistry& registry, const dht::TransportStats& stats,
 
 /// Lookup counters -> emergence_lookup_* series.
 void publish(MetricsRegistry& registry, const dht::LookupStats& stats,
-             const Labels& labels = {});
-
-/// Chord maintenance counters -> emergence_maintenance_* series.
-void publish(MetricsRegistry& registry, const dht::MaintenanceStats& stats,
              const Labels& labels = {});
 
 /// Wire frame counters -> emergence_wire_* series.

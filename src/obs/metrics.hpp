@@ -2,7 +2,7 @@
 //
 // The repository accumulates its hot-path statistics in small lock-free
 // structs (dht::TransportStats, dht::LookupStats, service::WireStats,
-// dht::MaintenanceStats, workload::FleetTally) — per-domain / per-world
+// workload::FleetTally) — per-domain / per-world
 // shards merged commutatively at barriers, exactly-integer so any sharding
 // reproduces the serial totals bit-identically. A MetricsRegistry is the
 // uniform surface those structs are published onto (obs/bridge.hpp): named

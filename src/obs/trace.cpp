@@ -97,13 +97,6 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
   os << "\n], \"displayTimeUnit\": \"ms\"}\n";
 }
 
-void Tracer::write_jsonl(std::ostream& os) const {
-  for (const TraceEvent& e : sorted_events()) {
-    write_event(os, e);
-    os << "\n";
-  }
-}
-
 void Tracer::drain_jsonl(std::ostream& os) {
   std::lock_guard<std::mutex> lock(shards_mutex_);
   for (const auto& shard : shards_) {

@@ -26,9 +26,9 @@
 //
 // Sinks: write_chrome_trace() emits Chrome trace_event JSON (loadable in
 // Perfetto / chrome://tracing; ts in microseconds of virtual time), and
-// write_jsonl()/drain_jsonl() emit one JSON object per line — drain is the
-// live daemon's incremental append, which skips the canonical sort because
-// a wall-clock daemon has no cross-run determinism to protect.
+// drain_jsonl() emits one JSON object per line: the live daemon's
+// incremental append, which skips the canonical sort because a wall-clock
+// daemon has no cross-run determinism to protect.
 #pragma once
 
 #include <cstdint>
@@ -110,8 +110,6 @@ class Tracer {
 
   /// Chrome trace_event JSON ({"traceEvents":[...]}), canonically sorted.
   void write_chrome_trace(std::ostream& os) const;
-  /// One canonical JSON object per line.
-  void write_jsonl(std::ostream& os) const;
   /// Live sink: appends every buffered event as JSONL in arrival order and
   /// clears the buffers. No canonical sort — incremental wall-clock use.
   void drain_jsonl(std::ostream& os);

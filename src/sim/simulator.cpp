@@ -62,11 +62,6 @@ void Simulator::cancel(EventId id) {
   queue_.cancel(id);
 }
 
-void Simulator::purge_cancelled() {
-  assert_owner();
-  queue_.next_time();
-}
-
 std::optional<Time> Simulator::next_event_time() {
   assert_owner();
   return queue_.next_time();

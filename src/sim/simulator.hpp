@@ -9,7 +9,7 @@
 //
 // Window semantics (pinned; the domain executor depends on them):
 //   - run_until(deadline) runs events with timestamp <= deadline — the
-//     historical inclusive chunked-progress primitive.
+//     inclusive primitive that tests and examples drive.
 //   - run_before(end) runs events with timestamp strictly < end: windows are
 //     half-open [start, end), so an event landing exactly on a barrier
 //     belongs to the NEXT window, never to two windows at once.
@@ -81,18 +81,13 @@ class Simulator final : public Clock {
   /// Executes at most `max_events` pending events; returns how many ran.
   std::size_t step(std::size_t max_events);
 
-  /// Drops cancelled tombstones that reached the queue heads. run()/
-  /// run_until()/run_before() do this implicitly; next_event_time() does
-  /// too, so the purge is part of the single-threaded driver contract —
-  /// never call any of these while another thread touches the queue (debug
-  /// builds assert thread ownership).
-  void purge_cancelled();
-
   /// Timestamp of the earliest live pending event, or nullopt when none.
-  /// Purges first (an explicit queue mutation, hence non-const). Drivers
-  /// that interleave virtual time with wall-clock work (the workload
-  /// fleet's chunked progress loop, the domain executor's window sizing)
-  /// use this to skip idle gaps instead of spinning.
+  /// Drops the cancelled tombstones that reached the queue heads first (an
+  /// explicit queue mutation, hence non-const; run()/run_until()/
+  /// run_before() purge the same way), so, like them, it must never run
+  /// while another thread touches the queue (debug builds assert thread
+  /// ownership). The domain executor sizes its windows off it to skip
+  /// idle gaps instead of spinning.
   std::optional<Time> next_event_time();
 
   /// Current virtual time. Under an active ExecutionContext this is the

@@ -201,9 +201,7 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
   Rng arrival_rng = root.fork(4);
 
   sim::Simulator sim;
-  std::unique_ptr<dht::ChordNetwork> chord;
-  std::unique_ptr<dht::KademliaNetwork> kademlia;
-  dht::Network* net = nullptr;
+  std::unique_ptr<dht::Network> net;
   // Maintenance matters only under churn (repair is what hands stored
   // layer keys to replacement holders); without churn it only adds events.
   // A service world has population * horizon / interval maintenance
@@ -216,21 +214,18 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
     cfg.stabilize_interval = repair / 4.0;
     cfg.replica_repair_interval = repair;
     // O(log n) joins: a service world sees thousands of churn joins, and
-    // periodic fix_fingers converges the copied tables (perf suite model).
+    // periodic fix_fingers converges the copied tables.
     cfg.exact_join_fingers = false;
     cfg.transport = s.transport;
-    chord = std::make_unique<dht::ChordNetwork>(sim, net_rng, cfg);
-    chord->bootstrap(s.population);
-    net = chord.get();
+    net = std::make_unique<dht::ChordNetwork>(sim, net_rng, cfg);
   } else {
     dht::KademliaConfig cfg;
     cfg.run_maintenance = s.churn;
     cfg.republish_interval = repair;
     cfg.transport = s.transport;
-    kademlia = std::make_unique<dht::KademliaNetwork>(sim, net_rng, cfg);
-    kademlia->bootstrap(s.population);
-    net = kademlia.get();
+    net = std::make_unique<dht::KademliaNetwork>(sim, net_rng, cfg);
   }
+  net->bootstrap(s.population);
 
   cloud::CloudStore cloud;
   core::SessionDispatcher dispatcher(*net);
@@ -241,8 +236,7 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
   obs::TraceShard* serial_trace = nullptr;
   if (tracer_ != nullptr) {
     serial_trace = tracer_->new_shard();
-    if (chord) chord->set_trace_shard(serial_trace);
-    if (kademlia) kademlia->set_trace_shard(serial_trace);
+    net->set_trace_shard(serial_trace);
   }
 
   // Conservative-window execution of this one world. The lookahead is the
@@ -466,7 +460,7 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
       if (!domain_traces.empty()) ctx.trace = domain_traces[domain];
       const sim::ExecutionContext::Scope scope(ctx);
       slot.session.emplace(core::SessionArgs{
-          net, &cloud, adversary, config,
+          net.get(), &cloud, adversary, config,
           root.fork(16 + slot.index).seed(), &dispatcher});
       slot.blob =
           slot.session->send(payload, "svc-" + std::to_string(slot.index));
@@ -541,7 +535,7 @@ FleetTally SessionFleet::run(const FleetProgress& progress) {
   // Per-domain shards fold back in ascending domain order (the merges are
   // commutative; the fixed order keeps the reduction canonical).
   for (const dht::TransportStats& t : domain_tstats) out.transport.merge(t);
-  out.lookups.merge(chord ? chord->lookup_stats() : kademlia->lookup_stats());
+  out.lookups.merge(net->lookup_stats());
   for (const dht::LookupStats& l : domain_lstats) out.lookups.merge(l);
   if (churn.has_value()) {
     out.churn_deaths = churn->deaths();

@@ -464,24 +464,6 @@ TEST(Binomial, PowHelpersStableForTinyX) {
 
 // -- stats --------------------------------------------------------------------
 
-TEST(Stats, RunningStatMeanVariance) {
-  RunningStat s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_NEAR(s.mean(), 5.0, 1e-12);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-}
-
-TEST(Stats, RunningStatEmptyAndSingle) {
-  RunningStat s;
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  s.add(3.5);
-  EXPECT_EQ(s.mean(), 3.5);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.stderr_mean(), 0.0);
-}
-
 TEST(Stats, RateStatCountsSuccesses) {
   RateStat r;
   for (int i = 0; i < 10; ++i) r.add(i < 3);
@@ -497,66 +479,6 @@ TEST(Stats, RateStatDegenerateRates) {
   r.add(true);
   EXPECT_EQ(r.rate(), 1.0);
   EXPECT_EQ(r.stderr_rate(), 0.0);
-}
-
-TEST(Stats, RunningStatMergeMatchesBulkAdd) {
-  const std::vector<double> values = {2.0, 4.0, 4.0, 4.0, 5.0,
-                                      5.0, 7.0, 9.0, -3.0, 0.5};
-  RunningStat bulk;
-  for (double v : values) bulk.add(v);
-
-  RunningStat left, right;
-  for (std::size_t i = 0; i < 4; ++i) left.add(values[i]);
-  for (std::size_t i = 4; i < values.size(); ++i) right.add(values[i]);
-  left.merge(right);
-
-  EXPECT_EQ(left.count(), bulk.count());
-  EXPECT_NEAR(left.mean(), bulk.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), bulk.variance(), 1e-12);
-}
-
-TEST(Stats, RunningStatMergeWithEmptySides) {
-  RunningStat filled;
-  for (double v : {1.0, 2.0, 3.0}) filled.add(v);
-  const double mean = filled.mean();
-  const double variance = filled.variance();
-
-  RunningStat empty_into_filled;
-  filled.merge(empty_into_filled);  // rhs empty: no-op
-  EXPECT_EQ(filled.count(), 3u);
-  EXPECT_EQ(filled.mean(), mean);
-  EXPECT_EQ(filled.variance(), variance);
-
-  RunningStat empty;
-  empty.merge(filled);  // lhs empty: adopts rhs exactly
-  EXPECT_EQ(empty.count(), 3u);
-  EXPECT_EQ(empty.mean(), mean);
-  EXPECT_EQ(empty.variance(), variance);
-}
-
-TEST(Stats, RunningStatMergeManyShardsMatchesSerial) {
-  // Shard 1000 samples into uneven pieces and merge in order — the sweep
-  // engine's aggregation pattern.
-  Rng rng(17);
-  std::vector<double> values;
-  for (int i = 0; i < 1000; ++i) values.push_back(rng.real() * 10.0);
-
-  RunningStat serial;
-  for (double v : values) serial.add(v);
-
-  RunningStat merged;
-  std::size_t at = 0;
-  std::size_t shard = 1;
-  while (at < values.size()) {
-    RunningStat part;
-    for (std::size_t i = 0; i < shard && at < values.size(); ++i, ++at)
-      part.add(values[at]);
-    merged.merge(part);
-    shard = shard * 2 + 1;
-  }
-  EXPECT_EQ(merged.count(), serial.count());
-  EXPECT_NEAR(merged.mean(), serial.mean(), 1e-12);
-  EXPECT_NEAR(merged.variance(), serial.variance(), 1e-10);
 }
 
 TEST(Stats, RateStatMergeIsExact) {

@@ -499,8 +499,8 @@ TEST(ChordMessaging, MessageDeliveredWithLatency) {
   const NodeId from = t.net->alive_ids()[0];
   const NodeId to = t.net->alive_ids()[1];
   bool delivered = false;
-  t.net->set_message_handler(to, [&](const NodeId& f, const NodeId& target,
-                                     BytesView payload) {
+  t.net->set_message_handler([&](const NodeId& f, const NodeId& target,
+                                 BytesView payload) {
     EXPECT_EQ(f, from);
     EXPECT_EQ(target, to);
     EXPECT_EQ(string_of(payload), "ping");
@@ -521,7 +521,7 @@ TEST(ChordMessaging, RoutedMessageFollowsResponsibility) {
   ASSERT_TRUE(initial.ok);
 
   NodeId received_at;
-  t.net->set_default_message_handler(
+  t.net->set_message_handler(
       [&](const NodeId&, const NodeId& to, BytesView) { received_at = to; });
 
   t.net->send_message_routed(ring_point, ring_point, bytes_of("p1"));
@@ -543,7 +543,7 @@ TEST(ChordMessaging, MessageToDeadNodeIsLost) {
   const NodeId to = t.net->alive_ids()[1];
   bool delivered = false;
   t.net->set_message_handler(
-      to, [&](const NodeId&, const NodeId&, BytesView) { delivered = true; });
+      [&](const NodeId&, const NodeId&, BytesView) { delivered = true; });
   t.net->send_message(from, to, bytes_of("ping"));
   t.net->kill_node(to);  // dies while the message is in flight
   t.sim.run();

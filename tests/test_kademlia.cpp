@@ -129,7 +129,7 @@ TEST(KademliaLookup, HopCountIsLogarithmic) {
   KadNet t(512);
   for (int i = 0; i < 80; ++i)
     t.net->lookup(NodeId::hash_of_text("h" + std::to_string(i)));
-  EXPECT_LT(t.net->mean_lookup_hops(), 12.0);
+  EXPECT_LT(t.net->lookup_stats().mean_hops(), 12.0);
 }
 
 TEST(KademliaLookup, SingleNodeNetwork) {
@@ -237,8 +237,9 @@ TEST(KademliaInterface, PointToPointMessage) {
   const NodeId from = t.net->alive_ids()[0];
   const NodeId to = t.net->alive_ids()[1];
   bool delivered = false;
-  t.net->set_message_handler(to, [&](const NodeId&, const NodeId&,
-                                     BytesView payload) {
+  t.net->set_message_handler([&](const NodeId&, const NodeId& target,
+                                 BytesView payload) {
+    EXPECT_EQ(target, to);
     EXPECT_EQ(string_of(payload), "hello");
     delivered = true;
   });
@@ -253,7 +254,7 @@ TEST(KademliaInterface, RoutedMessageFollowsResponsibility) {
   const NodeId owner = closest_alive_brute_force(*t.net, ring_point);
 
   NodeId received_at;
-  t.net->set_default_message_handler(
+  t.net->set_message_handler(
       [&](const NodeId&, const NodeId& to, BytesView) { received_at = to; });
 
   // First delivery goes to the current owner.

@@ -560,7 +560,7 @@ TEST(Protocol, StrayPackagesForRetiredSessionsAreCountedNotDelivered) {
   // Capture a genuine column-1 package off the wire by replaying what the
   // sender emitted: simplest is to let the world run, retire, then poke a
   // fabricated package at the (now unregistered) nonce via a copy of the
-  // default handler path — a foreign well-formed package with an unknown
+  // message handler path — a foreign well-formed package with an unknown
   // nonce exercises the same branch.
   w.sim.run();
   session->retire();

@@ -221,7 +221,6 @@ TEST(Simulator, NextEventTimePurgesCancelledTombstones) {
   EXPECT_EQ(*next, 3.0);
 
   sim.cancel(sim.schedule_at(4.0, [] {}));
-  sim.purge_cancelled();  // explicit purge is also a public operation
   EXPECT_EQ(sim.pending(), 1u);
 }
 
